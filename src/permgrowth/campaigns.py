@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .algebraics import (
@@ -29,7 +30,7 @@ from .insertion import (
     eventual_period,
     si_gf,
 )
-from .perms import Permutation, is_sum_indecomposable, parse_permutation
+from .perms import Permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .reconstruction import verify_reconstruction, verify_taper
 from .sequences import (
@@ -106,22 +107,12 @@ def _si_gf_of(spec: ClassSpec):
     return si_gf(f)
 
 
-def _choose(items: list, k: int):
-    items = list(items)
-    if k == 0:
-        yield []
-        return
-    for idx in range(len(items) - k + 1):
-        for rest in _choose(items[idx + 1 :], k - 1):
-            yield [items[idx]] + rest
-
-
 def _initial_1123() -> list[ClassSpec]:
     out = []
     for r3 in _SI3:
         base = spec_from_strs(r3)
         si4 = census(base, 4).si_members(4)
-        for pair in _choose(sorted(si4), 2):
+        for pair in combinations(sorted(si4), 2):
             out.append(base.extended(pair))
     return sorted(out, key=_basis_key)
 
@@ -198,17 +189,17 @@ def _candidates_112344() -> list[ClassSpec]:
     for r3 in _SI3:
         base = spec_from_strs(r3)
         si4 = sorted(census(base, 4).si_members(4))
-        for drop4 in _choose(si4, len(si4) - 3):
+        for drop4 in combinations(si4, len(si4) - 3):
             spec4 = base.extended(drop4)
             si5 = sorted(census(spec4, 5).si_members(5))
             if len(si5) < 4:
                 continue
-            for drop5 in _choose(si5, len(si5) - 4):
+            for drop5 in combinations(si5, len(si5) - 4):
                 spec5 = spec4.extended(drop5)
                 si6 = sorted(census(spec5, 6).si_members(6))
                 if len(si6) < 4:
                     continue
-                for drop6 in _choose(si6, len(si6) - 4):
+                for drop6 in combinations(si6, len(si6) - 4):
                     spec6 = spec5.extended(drop6)
                     found[_basis_key(spec6)] = spec6
     return [found[k] for k in sorted(found)]

@@ -17,7 +17,9 @@ from .perms import (
     EMPTY,
     Permutation,
     contains,
+    is_si_entries,
     is_sum_indecomposable,
+    next_level,
     parse_permutation,
     vertical_alternation,
 )
@@ -87,14 +89,15 @@ class Census:
 
     member_counts: list[int] = field(default_factory=list)  # index = length
     si_counts: list[int] = field(default_factory=list)
-    levels: list[set[Permutation]] = field(default_factory=list)
+    levels: list[set[tuple[int, ...]]] = field(default_factory=list)
 
     def si_sequence(self) -> list[int]:
         """SI counts for lengths 1..max_len."""
         return self.si_counts[1:]
 
     def si_members(self, n: int) -> list[Permutation]:
-        return sorted(p for p in self.levels[n] if is_sum_indecomposable(p))
+        members = map(Permutation._trusted, self.levels[n])
+        return sorted(p for p in members if is_sum_indecomposable(p))
 
     def to_csv(self) -> str:
         lines = ["length,members,sum_indecomposable"]
@@ -109,32 +112,20 @@ def census(spec: ClassSpec, max_len: int) -> Census:
     of the previous level and the candidate is not itself a basis element."""
     if max_len > CENSUS_BOUND:
         raise ValueError("census bound exceeded (max %d)" % CENSUS_BOUND)
-    basis_by_len: dict[int, set[Permutation]] = {}
+    basis_by_len: dict[int, set[tuple[int, ...]]] = {}
     for b in spec.basis:
-        basis_by_len.setdefault(len(b), set()).add(b)
+        basis_by_len.setdefault(len(b), set()).add(b.entries)
     out = Census()
-    level = {EMPTY} if EMPTY not in spec.basis else set()
+    level = {()} if EMPTY not in spec.basis else set()
     out.levels.append(level)
     out.member_counts.append(len(level))
     out.si_counts.append(0)
     for n in range(1, max_len + 1):
-        prev = out.levels[n - 1]
-        prev_entries = {p.entries for p in prev}
         forbidden = basis_by_len.get(n, set())
-        candidates = set()
-        for p in prev:
-            for pos in range(n):
-                for val in range(1, n + 1):
-                    candidates.add(p.insert(pos, val))
-        nxt = set()
-        for c in candidates:
-            if c in forbidden:
-                continue
-            if all(c.delete(i).entries in prev_entries for i in range(n)):
-                nxt.add(c)
-        out.levels.append(nxt)
-        out.member_counts.append(len(nxt))
-        out.si_counts.append(sum(1 for p in nxt if is_sum_indecomposable(p)))
+        level = {c for c in next_level(level) if c not in forbidden}
+        out.levels.append(level)
+        out.member_counts.append(len(level))
+        out.si_counts.append(sum(1 for t in level if is_si_entries(t)))
     return out
 
 
@@ -154,30 +145,24 @@ def compute_basis(
     basis: set[Permutation] = set()
     if not oracle(EMPTY):
         return {EMPTY}
-    level = {Permutation((1,))}
     one = Permutation((1,))
     if not oracle(one):
         return {one}
+    level = {one.entries}
     for n in range(2, max_len + 1):
-        candidates = set()
-        for p in level:
-            for pos in range(n):
-                for val in range(1, n + 1):
-                    candidates.add(p.insert(pos, val))
         nxt = set()
-        member_entries = {p.entries for p in level}
-        for c in candidates:
-            if not all(c.delete(i).entries in member_entries for i in range(n)):
-                continue
-            if oracle(c):
+        for c in next_level(level):
+            p = Permutation._trusted(c)
+            if oracle(p):
                 nxt.add(c)
             else:
-                basis.add(c)
+                basis.add(p)
         level = nxt
     # downward-closure spot check: children of members must be members
     rng = rng or random.Random(0)
     sample = rng.sample(sorted(level), min(20, len(level))) if level else []
-    for p in sample:
+    for t in sample:
+        p = Permutation._trusted(t)
         for i in range(len(p)):
             if not oracle(p.delete(i)):
                 raise ValueError("oracle violates downward closure at %s" % p)

@@ -2,7 +2,7 @@
 
 Usage:
     permgrowth <campaign> [--max-len N] [--eps E] [--out FILE]
-               [--format json|csv] [--jobs K] [--basis FILE] [--seq "..."]
+               [--format json|csv] [--basis FILE] [--seq "..."]
 
 Campaigns: recon-verify, taper-verify, search-1123, search-112344,
 table1..table4, xi-basis, accumulation, census, growth-rate, classify.
@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root isolation width (rational or decimal)")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count; reports do not depend on it")
     parser.add_argument("--basis", default=None,
                         help="basis file, one permutation per line")
     parser.add_argument("--seq", default=None,
@@ -78,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _campaign_params(args) -> dict:
     params: dict = {}
     name = args.campaign
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     if args.basis is not None:
         with open(args.basis) as fh:
             params["spec"] = parse_basis_text(fh.read())

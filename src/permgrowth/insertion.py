@@ -437,11 +437,6 @@ def si_gf(f: RationalFunction) -> RationalFunction:
     return one - f.inverse()
 
 
-def series_coefficients(f: RationalFunction, n: int) -> list[int]:
-    """First n+1 power-series coefficients of ``f``."""
-    return f.series(n)
-
-
 def eventual_period(f: RationalFunction, max_period: int = 12) -> tuple[list[int], int]:
     """Smallest period P <= max_period with f * (1 - x^P) polynomial,
     together with the coefficient prefix that determines the whole series

@@ -6,6 +6,11 @@ immutable, so everything here is safe to use from concurrent callers.
 
 Text format: space-separated values, e.g. ``"2 4 1 3"``; the empty string
 denotes the empty permutation.
+
+The enumeration loops of the package run on plain entry tuples rather than
+on :class:`Permutation` objects; the tuple helpers (``is_si_entries``,
+``delete_entry``, ``si_children_entries`` and ``next_level``) are the single
+implementation behind both.
 """
 
 from __future__ import annotations
@@ -13,10 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
-
-from ._kernels import contains_arrays, is_si_array
 
 
 class Permutation:
@@ -28,7 +29,7 @@ class Permutation:
     0
     """
 
-    __slots__ = ("entries", "_array", "_hash")
+    __slots__ = ("entries", "_hash")
 
     def __init__(self, entries: Iterable[int]):
         entries = tuple(int(x) for x in entries)
@@ -42,8 +43,16 @@ class Permutation:
             if mask != (2 ** (n + 1) - 2):
                 raise ValueError("entries must form a rearrangement of 1..n")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_array", None)
         object.__setattr__(self, "_hash", hash(entries))
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a rearrangement of 1..n, without
+        validating it; only for entries built from valid permutations."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        object.__setattr__(p, "_hash", hash(entries))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -73,13 +82,6 @@ class Permutation:
     def __str__(self) -> str:
         return " ".join(str(x) for x in self.entries)
 
-    def as_array(self) -> np.ndarray:
-        arr = self._array
-        if arr is None:
-            arr = np.array(self.entries, dtype=np.int64)
-            object.__setattr__(self, "_array", arr)
-        return arr
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.entries)
         for i, v in enumerate(self.entries):
@@ -88,18 +90,17 @@ class Permutation:
 
     def delete(self, index: int) -> "Permutation":
         """Pattern left after removing the entry at 0-based ``index``."""
-        v = self.entries[index]
-        return Permutation(
-            x - 1 if x > v else x
-            for i, x in enumerate(self.entries)
-            if i != index
-        )
+        if not 0 <= index < len(self.entries):
+            raise IndexError("index must be in 0..n-1")
+        return Permutation._trusted(delete_entry(self.entries, index))
 
     def insert(self, index: int, value: int) -> "Permutation":
         """Insert a new entry at 0-based ``index`` with rank ``value`` in 1..n+1."""
+        if not 1 <= value <= len(self.entries) + 1:
+            raise ValueError("value must be in 1..n+1")
         bumped = [x + 1 if x >= value else x for x in self.entries]
         bumped.insert(index, value)
-        return Permutation(bumped)
+        return Permutation._trusted(tuple(bumped))
 
 
 EMPTY = Permutation(())
@@ -121,22 +122,99 @@ def standardize(values: Sequence[int]) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     for p in itertools.permutations(range(1, n + 1)):
-        yield Permutation(p)
+        yield Permutation._trusted(p)
+
+
+def is_si_entries(t: tuple[int, ...]) -> bool:
+    """Sum indecomposability of an entry tuple: no proper prefix of length k
+    uses exactly the values 1..k.  The empty tuple is not sum indecomposable."""
+    hi = 0
+    for k in range(len(t) - 1):
+        if t[k] > hi:
+            hi = t[k]
+        if hi == k + 1:
+            return False
+    return bool(t)
+
+
+def delete_entry(t: tuple[int, ...], index: int) -> tuple[int, ...]:
+    """The entry tuple left after removing position ``index`` of ``t``."""
+    v = t[index]
+    return tuple(x - 1 if x > v else x for x in t[:index] + t[index + 1:])
+
+
+def si_children_entries(t: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct sum indecomposable single-entry deletions of ``t``."""
+    out = set()
+    for i, v in enumerate(t):
+        # delete_entry inlined: this loop dominates the taper exhaustions
+        c = tuple(x - 1 if x > v else x for x in t[:i] + t[i + 1:])
+        if is_si_entries(c):
+            out.add(c)
+    return out
+
+
+def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Every entry tuple one longer than the members of ``level`` whose
+    children all lie in ``level``, each exactly once.
+
+    This is the generating tree of permutations: each candidate arises from
+    exactly one member, the one left by removing its maximum, by inserting
+    the new maximum at some position.  ``level`` must hold tuples of a
+    single length.
+    """
+    for p in level:
+        top = len(p) + 1
+        for pos in range(top):
+            c = p[:pos] + (top,) + p[pos:]
+            if all(delete_entry(c, i) in level for i in range(top) if i != pos):
+                yield c
 
 
 def contains(pattern: Permutation, text: Permutation) -> bool:
     """True iff some subsequence of ``text`` is order isomorphic to ``pattern``.
+
+    A backtracking embedding search on the entry tuples.
 
     >>> contains(parse_permutation("2 1 3"), parse_permutation("2 3 1 4"))
     True
     >>> contains(parse_permutation("3 2 1"), parse_permutation("2 3 4 1"))
     False
     """
-    if len(pattern) == 0:
+    pat = pattern.entries
+    seq = text.entries
+    k = len(pat)
+    n = len(seq)
+    if k == 0:
         return True
-    if len(pattern) > len(text):
+    if k > n:
         return False
-    return bool(contains_arrays(pattern.as_array(), text.as_array()))
+    choice = [0] * k
+    i = 0
+    pos = 0
+    while True:
+        # leftmost-feasible scan; there must be room for the k-i-1 later entries
+        last = n - k + i
+        pi = pat[i]
+        while pos <= last:
+            v = seq[pos]
+            for j in range(i):
+                if (pat[j] < pi) != (seq[choice[j]] < v):
+                    break
+            else:  # every placed entry agrees: place entry i here
+                break
+            pos += 1
+        if pos <= last:
+            if i == k - 1:
+                return True
+            choice[i] = pos
+            i += 1
+            pos += 1
+        else:
+            if i == 0:
+                return False
+            i -= 1
+            pos = choice[i] + 1
 
 
 def is_sum_indecomposable(p: Permutation) -> bool:
@@ -144,9 +222,7 @@ def is_sum_indecomposable(p: Permutation) -> bool:
 
     The empty permutation is not sum indecomposable.
     """
-    if len(p) == 0:
-        return False
-    return bool(is_si_array(p.as_array()))
+    return is_si_entries(p.entries)
 
 
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:
@@ -174,7 +250,7 @@ def sum_components(p: Permutation) -> list[Permutation]:
             running_max = v
         if running_max == i + 1:
             # value-closed prefix boundary: cut a component
-            parts.append(Permutation(x - start for x in p.entries[start : i + 1]))
+            parts.append(Permutation._trusted(tuple(x - start for x in p.entries[start : i + 1])))
             start = i + 1
     return parts
 
@@ -185,10 +261,12 @@ def children(p: Permutation, indecomposable_only: bool = False) -> frozenset[Per
     children."""
     if len(p) == 0:
         raise ValueError("the empty permutation has no children")
-    kids = {p.delete(i) for i in range(len(p))}
+    t = p.entries
     if indecomposable_only:
-        kids = {c for c in kids if is_sum_indecomposable(c)}
-    return frozenset(kids)
+        kids = si_children_entries(t)
+    else:
+        kids = {delete_entry(t, i) for i in range(len(t))}
+    return frozenset(map(Permutation._trusted, kids))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,15 @@ from .perms import (
     increasing_oscillation,
     inflate,
     inversion_graph,
+    is_si_entries,
     is_sum_indecomposable,
+    si_children_entries,
     skew_sum,
 )
+
+# longest length verify_reconstruction accepts: it visits every permutation
+# of that length (n = 10 is 3.6M of them and takes minutes)
+RECON_BOUND = 10
 
 
 def _require_si(p: Permutation) -> None:
@@ -236,6 +242,8 @@ def verify_reconstruction(n: int) -> Report:
     permutations collide only between the two increasing oscillations."""
     if n < 5:
         raise ValueError("verification requires length >= 5")
+    if n > RECON_BOUND:
+        raise ValueError("verification bound exceeded (max %d)" % RECON_BOUND)
     by_kset: dict[frozenset[Permutation], list[Permutation]] = {}
     checked = 0
     for p in sum_indecomposables(n):
@@ -251,34 +259,17 @@ def verify_reconstruction(n: int) -> Report:
     return Report(checked, tuple(sorted(failures)))
 
 
-def _si_entries(t: tuple[int, ...]) -> bool:
-    # sum indecomposable iff no proper prefix occupies exactly {1..k}
-    hi = 0
-    for k in range(len(t) - 1):
-        if t[k] > hi:
-            hi = t[k]
-        if hi == k + 1:
-            return False
-    return bool(t)
-
-
-def _si_children_entries(t: tuple[int, ...]) -> set[tuple[int, ...]]:
-    out = set()
-    for i, v in enumerate(t):
-        c = tuple(x if x < v else x - 1 for x in t[:i] + t[i + 1:])
-        if _si_entries(c):
-            out.add(c)
-    return out
-
-
 def k_bounded_members(n: int, m: int) -> list[Permutation]:
     """Sum indecomposable permutations of length n with at most m sum
     indecomposable children, generated incrementally level by level (the
-    sets K^(m) are closed downward, so every member grows from one).
+    sets K^(m) are closed under sum indecomposable children, so every member
+    grows from one).
 
-    The levels are built on raw entry tuples; the generation visits every
-    single-entry insertion of every survivor, so Permutation overhead
-    dominates if left in the loop.
+    The closure covers sum indecomposable children only: removing the
+    maximum can leave a sum decomposable permutation (312 -> 12), so
+    inserting only a new maximum (``perms.next_level``) would miss members.
+    The generation therefore visits every single-entry insertion of every
+    survivor, on raw entry tuples.
     """
     if n < 3:
         return sum_indecomposables(n)
@@ -295,13 +286,13 @@ def k_bounded_members(n: int, m: int) -> list[Permutation]:
                     if c in seen:
                         continue
                     seen.add(c)
-                    if not _si_entries(c):
+                    if not is_si_entries(c):
                         continue
-                    kids = _si_children_entries(c)
+                    kids = si_children_entries(c)
                     if len(kids) <= m and kids <= prev:
                         nxt.add(c)
         level = nxt
-    return sorted(Permutation(t) for t in level)
+    return sorted(Permutation._trusted(t) for t in level)
 
 
 def verify_taper(n: int, m: int) -> Report:

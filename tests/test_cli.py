@@ -54,7 +54,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["growth-rate"]) == 2
     assert main(["growth-rate", "--seq", "2,1"]) == 2  # illegal sequence
     assert main(["taper-verify", "--max-len", "7"]) == 2
-    assert main(["recon-verify", "--jobs", "0"]) == 2
+    assert main(["recon-verify", "--max-len", "11"]) == 2  # above RECON_BOUND
     assert main(["census", "--basis", "/nonexistent/file"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err

@@ -36,6 +36,14 @@ def test_parse_rejects_non_permutations():
             P(bad)
 
 
+def test_insert_rejects_values_outside_range():
+    p = P("2 3 1")
+    assert p.insert(1, 4) == P("2 4 3 1")
+    for bad in (0, 5, -1):
+        with pytest.raises(ValueError):
+            p.insert(1, bad)
+
+
 def test_standardize():
     assert standardize([17, 3, 9]) == P("3 1 2")
     assert standardize([]) == Permutation(())

@@ -1,5 +1,7 @@
 """Randomized invariants over permutations, sequences, and class specs."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +134,17 @@ def test_containment_reflexive_and_monotone(p):
     one = Permutation((1,))
     if len(p) >= 1:
         assert contains(one, p)
+
+
+@given(permutations(max_len=5), permutations(max_len=8))
+@settings(deadline=None)
+def test_containment_and_si_match_brute_force(p, q):
+    brute = any(
+        standardize(sub) == p for sub in combinations(q.entries, len(p))
+    )
+    assert contains(p, q) == brute
+    assert is_sum_indecomposable(p) == (len(sum_components(p)) == 1)
+    assert is_sum_indecomposable(q) == (len(sum_components(q)) == 1)
 
 
 def test_containment_antisymmetry_spot():
