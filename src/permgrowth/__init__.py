@@ -8,6 +8,11 @@ together with the reproducible verification campaigns exposed by the
 ``permgrowth`` command.
 """
 
+import time as _time
+
+# the CLI reports the package import time from here
+_import_started = _time.monotonic()
+
 from .perms import (
     Permutation,
     all_permutations,

@@ -24,6 +24,12 @@ from .polynomials import (
 DEFAULT_EPS = Fraction(1, 10**12)
 
 
+def _check_eps(eps: Fraction) -> None:
+    # bisection stops at width <= eps, which it never reaches for eps <= 0
+    if eps <= 0:
+        raise ValueError("isolation width must be positive, got %s" % eps)
+
+
 def sturm_sequence(p: IntPolynomial) -> list[list[Fraction]]:
     chain = [_to_frac(p), _to_frac(p.derivative())]
     while any(chain[-1]):
@@ -95,6 +101,7 @@ class AlgebraicNumber:
 
     def refine(self, eps: Fraction) -> None:
         """Shrink the isolating interval to width <= eps (bisection)."""
+        _check_eps(eps)
         lo, hi = self.lo, self.hi
         while hi - lo > eps:
             mid = (lo + hi) / 2
@@ -163,6 +170,7 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
 def largest_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPS) -> AlgebraicNumber:
     """The greatest real root of ``p``, isolated to width <= eps."""
+    _check_eps(eps)
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     sf = square_free_part(p)

@@ -4,11 +4,13 @@ Usage:
     permgrowth <campaign> [--max-len N] [--eps E] [--out FILE]
                [--format json|csv] [--basis FILE] [--seq "..."]
 
-Campaigns: recon-verify, taper-verify, search-1123, search-112344,
-table1..table4, xi-basis, accumulation, census, growth-rate, classify.
+The campaigns, their claims and the options each one takes come from
+``campaigns.REGISTRY``; ``permgrowth --help`` lists them.
 
-Exit codes: 0 on pass, 1 on verification failure, 2 on usage error.
-Reports are deterministic for fixed parameters; wall time goes to stderr.
+Exit codes: 0 on pass, 1 on verification failure, 2 on usage error, which
+includes an option the campaign does not take and a value out of its range.
+Reports are deterministic for fixed parameters; the wall time, split into
+package import and run, goes to stderr.
 """
 
 from __future__ import annotations
@@ -20,29 +22,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .campaigns import CampaignReport, run_campaign
+from . import _import_started
+from .campaigns import REGISTRY, run_campaign
 from .classes import parse_basis_text
 from .sequences import SumSequence
 
-CAMPAIGNS = (
-    "recon-verify",
-    "taper-verify",
-    "search-1123",
-    "search-112344",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "xi-basis",
-    "accumulation",
-    "census",
-    "growth-rate",
-    "classify",
-)
-
-# taper verification is only meaningful at the proven (length, subset size)
-# pairs; --max-len selects the length
-_TAPER_M = {4: 2, 5: 3, 6: 4, 11: 5}
+_import_seconds = time.monotonic() - _import_started
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -54,12 +39,32 @@ def _parse_eps(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("bad eps %r" % text) from exc
 
 
+def _read_basis(path: str):
+    with open(path) as fh:
+        return parse_basis_text(fh.read())
+
+
+# the parse of each campaign input that argparse leaves as text
+_PARSE = {"--basis": _read_basis, "--seq": SumSequence.parse}
+
+
+def _campaigns_help() -> str:
+    lines = ["campaigns:"]
+    for name, c in REGISTRY.items():
+        lines.append("  %s: %s" % (name, c.claim))
+        lines += ["      %s %s" % (p.option, p.allowed or ("required" if p.required else "optional"))
+                  for p in c.params]
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permgrowth",
         description="reproducible verification campaigns for growth rates of sum closed permutation classes",
+        epilog=_campaigns_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("campaign", choices=CAMPAIGNS)
+    parser.add_argument("campaign", choices=list(REGISTRY))
     parser.add_argument("--max-len", type=int, default=None,
                         help="length bound / table index bound / taper length")
     parser.add_argument("--eps", type=_parse_eps, default=None,
@@ -74,44 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _campaign_params(args) -> dict:
+    """Runner keywords from the options given; an option the campaign does
+    not take raises ValueError."""
+    taken = {p.option: p for p in REGISTRY[args.campaign].params}
     params: dict = {}
-    name = args.campaign
-    if args.basis is not None:
-        with open(args.basis) as fh:
-            params["spec"] = parse_basis_text(fh.read())
-    if args.seq is not None:
-        params["seq"] = SumSequence.parse(args.seq)
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.max_len is not None:
-        if name == "recon-verify":
-            params["n"] = args.max_len
-        elif name == "taper-verify":
-            if args.max_len not in _TAPER_M:
-                raise ValueError(
-                    "taper-verify supports lengths %s" % sorted(_TAPER_M)
-                )
-            params["n"] = args.max_len
-            params["m"] = _TAPER_M[args.max_len]
-        elif name.startswith("table"):
-            params["max_index"] = args.max_len
-        elif name == "search-1123":
-            params["census_len"] = args.max_len
-        else:
-            params["max_len"] = args.max_len
-    if name == "census" and "spec" not in params:
-        raise ValueError("census needs --basis")
-    if name == "classify" and "seq" not in params:
-        raise ValueError("classify needs --seq")
-    if name == "growth-rate" and ("spec" in params) == ("seq" in params):
-        raise ValueError("growth-rate needs exactly one of --basis or --seq")
+    for option in ("--max-len", "--eps", "--basis", "--seq"):
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None:
+            if option not in taken:
+                raise ValueError("%s takes no %s" % (args.campaign, option))
+            params.update(taken[option].feed(_PARSE.get(option, lambda v: v)(value)))
     return params
-
-
-def _render(report: CampaignReport, fmt: str) -> str:
-    if fmt == "csv":
-        return report.to_csv()
-    return report.to_json() + "\n"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -121,7 +99,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         params = _campaign_params(args)
         report = run_campaign(args.campaign, params)
-        text = _render(report, args.format)
+        text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -130,10 +108,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(
-        "wall time: %.3fs" % (time.monotonic() - started),
-        file=sys.stderr,
-    )
+    run = time.monotonic() - started
+    print("wall time: %.3fs (import %.3fs, run %.3fs)" % (_import_seconds + run, _import_seconds, run),
+          file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -104,6 +104,7 @@ def _assignments(row: RowTemplate, max_index: int):
 
 
 FULL = tuple(range(0, 7))
+MAX_INDEX = FULL[-1]  # no family has a parameter value above this
 EVEN = (2, 4, 6)
 ONE_OR_EVEN = (1, 2, 4, 6)
 LE1 = (0, 1)
@@ -417,29 +418,42 @@ def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial, shift: int) 
     return _base_below_xi(base)
 
 
-def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
-    """All instantiated rows of the given table, deduplicated on the pair
-    (sequence, polynomial) and sorted by growth rate."""
-    entries = []
+def _instances(which: int, max_index: int):
+    """Each row template of the table with the instances it adds: the
+    (assignment, sequence, stated polynomial) triples whose pair (sequence,
+    polynomial) no earlier instance of the table has."""
     seen = set()
     for row in TABLES[which]:
+        fresh = []
         for pv in _assignments(row, max_index):
             seq = _sequence_of(row, pv)
             stated = row.poly(pv)
             key = (str(seq), stated.coeffs)
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append(
-                TableEntry(
-                    which, row.family,
-                    tuple(sorted(pv.items())),
-                    seq, stated,
-                    _float_largest_root(stated),
-                    row.position,
-                )
-            )
-    entries.sort(key=lambda e: (e.growth, str(e.sequence), e.polynomial.coeffs))
+            if key not in seen:
+                seen.add(key)
+                fresh.append((pv, seq, stated))
+        yield row, fresh
+
+
+def _by_growth(e: TableEntry) -> tuple:
+    return (e.growth, str(e.sequence), e.polynomial.coeffs)
+
+
+def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
+    """All instantiated rows of the given table, deduplicated on the pair
+    (sequence, polynomial) and sorted by growth rate."""
+    entries = [
+        TableEntry(
+            which, row.family,
+            tuple(sorted(pv.items())),
+            seq, stated,
+            _float_largest_root(stated),
+            row.position,
+        )
+        for row, fresh in _instances(which, max_index)
+        for pv, seq, stated in fresh
+    ]
+    entries.sort(key=_by_growth)
     return entries
 
 
@@ -470,15 +484,8 @@ def verify_table(which: int, max_index: int = 6) -> dict:
     dictionary with any failures listed."""
     problems: list[str] = []
     checked = 0
-    seen = set()
-    for row in TABLES[which]:
-        for pv in _assignments(row, max_index):
-            seq = _sequence_of(row, pv)
-            stated = row.poly(pv)
-            key = (str(seq), stated.coeffs)
-            if key in seen:
-                continue
-            seen.add(key)
+    for row, fresh in _instances(which, max_index):
+        for pv, seq, stated in fresh:
             checked += 1
             label = "%s %s" % (row.family, sorted(pv.items()))
             if not is_legal(seq):
@@ -554,7 +561,7 @@ def enumerate_below_xi(max_index: int = 6) -> list[TableEntry]:
     if problems:
         raise AssertionError("table verification failed: %s" % problems[:5])
     entries = table_rows(3, max_index) + table_rows(4, max_index)
-    entries.sort(key=lambda e: (e.growth, str(e.sequence), e.polynomial.coeffs))
+    entries.sort(key=_by_growth)
     return entries
 
 

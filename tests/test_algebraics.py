@@ -96,3 +96,12 @@ def test_growth_polynomial_strips_trivial_factors():
     g = growth_polynomial(RationalFunction(ONE, den))
     r = largest_real_root(g)
     assert compare(r, AlgebraicNumber.from_rational(Fraction(2))) == 0
+
+
+def test_nonpositive_eps_raises():
+    # bisection to width <= eps never ends for eps <= 0
+    for eps in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError):
+            largest_real_root(XI_POLY, eps)
+        with pytest.raises(ValueError):
+            xi().refine(eps)

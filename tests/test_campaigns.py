@@ -41,6 +41,18 @@ def test_taper_verify_default_pairs():
     assert all(r["violations"] == [] for r in results)
 
 
+def test_search_1123_extends_a_short_census():
+    # at census length 6 some classes still look bounded (counts
+    # 1,1,2,3,4,5); their exact series shows the later count above 5, so
+    # the search branches on them as it does with a longer census
+    report = run_campaign("search-1123", {"census_len": 6})
+    assert report.passed
+    assert report.parameters == {"census_len": 6}
+    assert report.artifacts["classes_visited"] == 178
+    assert report.artifacts["classes_expanded"] == 37
+    assert report.artifacts["counterexamples"] == []
+
+
 def test_taper_verify_needs_both_parameters():
     with pytest.raises(ValueError):
         run_campaign("taper-verify", {"n": 5})

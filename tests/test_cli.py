@@ -14,6 +14,8 @@ def test_pass_exit_code_and_json_output(capsys):
     # timing goes to stderr only, so stdout stays machine-readable
     assert "wall time" in err
     assert "wall time" not in out
+    # the package import is timed too, on the same line as the run
+    assert "(import " in err.splitlines()[-1]
 
 
 def test_fail_exit_code(capsys):
@@ -48,16 +50,40 @@ def test_census_with_basis_file(tmp_path, capsys):
     assert doc["artifacts"]["si_counts"] == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
-def test_usage_errors_exit_2(capsys):
-    assert main(["census"]) == 2
-    assert main(["classify"]) == 2
-    assert main(["growth-rate"]) == 2
-    assert main(["growth-rate", "--seq", "2,1"]) == 2  # illegal sequence
-    assert main(["taper-verify", "--max-len", "7"]) == 2
-    assert main(["recon-verify", "--max-len", "11"]) == 2  # above RECON_BOUND
-    assert main(["census", "--basis", "/nonexistent/file"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
+def test_usage_errors_exit_2(tmp_path, capsys):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("2 3 1\n")
+    cases = [
+        ["census"],
+        ["classify"],
+        ["growth-rate"],
+        ["growth-rate", "--seq", "2,1"],  # illegal sequence
+        ["taper-verify", "--max-len", "7"],
+        ["recon-verify", "--max-len", "11"],  # above RECON_BOUND
+        ["census", "--basis", "/nonexistent/file"],
+        # an isolation width <= 0 would bisect forever
+        ["accumulation", "--eps", "0"],
+        ["accumulation", "--eps", "-1"],
+        ["growth-rate", "--seq", "1,1,2", "--eps", "0"],
+        # options the campaign does not take
+        ["table1", "--eps", "1/3"],
+        ["accumulation", "--max-len", "4"],
+        ["classify", "--seq", "1,1,2", "--max-len", "9"],
+        ["census", "--basis", str(basis), "--seq", "1"],
+        ["search-112344", "--max-len", "3"],
+        # values out of the campaign's range
+        ["table1", "--max-len", "-3"],
+        ["table1", "--max-len", "7"],  # no family index above 6
+        ["census", "--basis", str(basis), "--max-len", "-2"],
+        ["census", "--basis", str(basis), "--max-len", "0"],
+        ["xi-basis", "--max-len", "8"],  # the claim has 9 terms
+        ["recon-verify", "--max-len", "4"],
+        ["taper-verify", "--max-len", "3"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), argv
 
 
 def test_unknown_campaign_is_an_argparse_error(capsys):
