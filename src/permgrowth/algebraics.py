@@ -1,6 +1,9 @@
 """Exact real-root isolation and growth-rate extraction.
 
-Roots are isolated with Sturm sequences over exact rationals and carried
+Roots are isolated with Sturm sequences of integer polynomials: each chain
+member is a positive multiple of the rational one (see
+``polynomials._prem``), so it has the same sign at every point, and signs
+at rational points are taken by integer arithmetic.  Roots are carried
 around as ``AlgebraicNumber`` values (square-free defining polynomial plus
 an isolating interval), so comparisons against the named constants are
 exact rather than floating point.
@@ -15,8 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .polynomials import (
     IntPolynomial,
     RationalFunction,
-    _frac_divmod,
-    _to_frac,
+    _prem,
     poly_gcd,
     square_free_part,
 )
@@ -30,30 +32,36 @@ def _check_eps(eps: Fraction) -> None:
         raise ValueError("isolation width must be positive, got %s" % eps)
 
 
-def sturm_sequence(p: IntPolynomial) -> list[list[Fraction]]:
-    chain = [_to_frac(p), _to_frac(p.derivative())]
-    while any(chain[-1]):
-        _, r = _frac_divmod(chain[-2], chain[-1])
-        if not any(r):
+def sturm_sequence(p: IntPolynomial) -> list[list[int]]:
+    """Sturm chain p, p', -prem(p, p'), ... as integer coefficient lists."""
+    chain = [list(p.coeffs), list(p.derivative().coeffs)]
+    while chain[-1]:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
             break
         chain.append([-c for c in r])
-    return [c for c in chain if any(c)]
+    return [c for c in chain if c]
 
 
-def _eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
+    """Sign of the polynomial at n/d (d > 0): the sign of
+    sum c_i * n^i * d^(deg - i), which is d^deg times its value."""
+    acc, dk = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval(coeffs, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    n, d = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(coeffs, n, d) for coeffs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _roots_between(chain, lo: Fraction, hi: Fraction) -> int:
+    """Sturm's count of the distinct roots in (lo, hi]."""
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -62,8 +70,7 @@ def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     sf = square_free_part(p)
     if sf.degree < 1:
         return 0
-    chain = sturm_sequence(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _roots_between(sturm_sequence(sf), lo, hi)
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -84,7 +91,7 @@ class AlgebraicNumber:
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
         object.__setattr__(self, "_chain", sturm_sequence(poly))
-        if self._count(self.lo, self.hi) != 1:
+        if _roots_between(self._chain, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
     def __setattr__(self, name, value):
@@ -96,19 +103,18 @@ class AlgebraicNumber:
         poly = IntPolynomial([-q.numerator, q.denominator])
         return cls(poly, q - 1, q)
 
-    def _count(self, lo: Fraction, hi: Fraction) -> int:
-        return _sign_variations(self._chain, lo) - _sign_variations(self._chain, hi)
-
     def refine(self, eps: Fraction) -> None:
         """Shrink the isolating interval to width <= eps (bisection)."""
         _check_eps(eps)
         lo, hi = self.lo, self.hi
+        v_lo = _sign_variations(self._chain, lo)
         while hi - lo > eps:
             mid = (lo + hi) / 2
-            if self._count(lo, mid) == 1:
+            v_mid = _sign_variations(self._chain, mid)
+            if v_lo - v_mid == 1:
                 hi = mid
             else:
-                lo = mid
+                lo, v_lo = mid, v_mid
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -117,15 +123,16 @@ class AlgebraicNumber:
         return float((self.lo + self.hi) / 2)
 
     def approx(self, digits: int = 6) -> str:
+        """Decimal string with ``digits`` places, |x| rounded half up."""
         self.refine(Fraction(1, 10 ** (digits + 3)))
         mid = (self.lo + self.hi) / 2
-        scaled = mid * 10**digits
-        q = int(scaled) + (1 if scaled - int(scaled) >= Fraction(1, 2) else 0)
+        q = int(abs(mid) * 10**digits + Fraction(1, 2))
+        sign = "-" if mid < 0 and q else ""
         s = str(q)
         if digits == 0:
-            return s
+            return sign + s
         s = s.rjust(digits + 1, "0")
-        return s[:-digits] + "." + s[-digits:]
+        return sign + s[:-digits] + "." + s[-digits:]
 
     def __repr__(self) -> str:
         return "AlgebraicNumber(%s in (%s, %s])" % (self.poly, self.lo, self.hi)
@@ -177,34 +184,17 @@ def largest_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPS) -> Algebrai
     chain = sturm_sequence(sf)
     M = root_bound(sf)
     lo, hi = -M, M
-    total = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-    if total == 0:
+    v_lo, v_hi = _sign_variations(chain, lo), _sign_variations(chain, hi)
+    if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
     # push lo right while keeping at least one root in (lo, hi]
-    while _sign_variations(chain, lo) - _sign_variations(chain, hi) > 1 or hi - lo > eps:
+    while v_lo - v_hi > 1 or hi - lo > eps:
         mid = (lo + hi) / 2
-        if _sign_variations(chain, mid) - _sign_variations(chain, hi) >= 1:
-            lo = mid
+        v_mid = _sign_variations(chain, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
         else:
-            hi = mid
-    root = AlgebraicNumber(sf, lo, hi)
-    return root
-
-
-def smallest_positive_root(p: IntPolynomial) -> AlgebraicNumber:
-    """The least real root of ``p`` in (0, inf), if any."""
-    sf = square_free_part(p)
-    chain = sturm_sequence(sf)
-    M = root_bound(sf)
-    lo, hi = Fraction(0), M
-    if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 0:
-        raise ValueError("polynomial has no positive real root")
-    while _sign_variations(chain, lo) - _sign_variations(chain, hi) > 1:
-        mid = (lo + hi) / 2
-        if _sign_variations(chain, lo) - _sign_variations(chain, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+            hi, v_hi = mid, v_mid
     return AlgebraicNumber(sf, lo, hi)
 
 
@@ -224,27 +214,34 @@ def _irreducible_factors(p: IntPolynomial) -> list[IntPolynomial]:
 
 
 def growth_polynomial(f: RationalFunction) -> IntPolynomial:
-    """Reciprocal transform of the denominator factor responsible for the
-    least positive singularity of ``f``; its greatest real root is the
-    growth rate of the coefficient sequence."""
-    den = f.den
-    if den.degree < 1:
+    """The irreducible factor of the reciprocal denominator that owns its
+    greatest real root, which is 1/rho for the least positive singularity
+    rho of ``f``; that root is the growth rate of the coefficient
+    sequence."""
+    if f.den.degree < 1:
         raise ValueError("denominator has no positive real root")
-    rho = smallest_positive_root(den)
-    factors = [g for g in _irreducible_factors(den) if g.degree >= 1]
+    rev = f.den.reciprocal()
+    try:
+        root = largest_real_root(rev)
+    except ValueError:
+        root = None
+    # the root is positive iff (0, hi] holds a root: none lies above it
+    if root is None or _roots_between(root._chain, Fraction(0), root.hi) < 1:
+        raise ValueError("polynomial has no positive real root")
+    factors = [g for g in _irreducible_factors(rev) if g.degree >= 1]
     # refine until exactly one irreducible factor owns the isolating interval
     while True:
         owners = [
-            g for g in factors if count_real_roots(g, rho.lo, rho.hi) >= 1
+            g for g in factors if count_real_roots(g, root.lo, root.hi) >= 1
         ]
         if len(owners) == 1:
             break
-        rho.refine((rho.hi - rho.lo) / 4)
+        root.refine((root.hi - root.lo) / 4)
     factor = owners[0]
     # the owning factor must appear exactly once (simple singularity)
-    if factor.divides(den.exact_div(factor)):
+    if factor.divides(rev.exact_div(factor)):
         raise ValueError("least positive singularity is not a simple root")
-    return factor.reciprocal().primitive()
+    return factor
 
 
 # Named constants.  kappa and xi carry their defining polynomials; the

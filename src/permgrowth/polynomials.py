@@ -20,7 +20,7 @@ class IntPolynomial:
     >>> p.degree
     3
     >>> p(2)
-    Fraction(-9, 1)
+    Fraction(-1, 1)
     """
 
     __slots__ = ("coeffs",)
@@ -122,17 +122,28 @@ class IntPolynomial:
         """Exact divisibility test over the rationals."""
         if self.is_zero():
             return other.is_zero()
-        _, r = _frac_divmod(_to_frac(other), _to_frac(self))
-        return not any(r)
+        return not _prem(other.coeffs, self.coeffs)
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         """Quotient self/other, which must be exact with integer result."""
-        q, r = _frac_divmod(_to_frac(self), _to_frac(other))
-        if any(r):
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coeffs)
+        q = [0] * max(0, len(r) - len(b) + 1)
+        while len(r) >= len(b):
+            f, m = divmod(r[-1], b[-1])
+            if m:
+                raise ValueError("quotient is not integral")
+            k = len(r) - len(b)
+            q[k] = f
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+            while r and r[-1] == 0:
+                r.pop()
+        if r:
             raise ValueError("division is not exact")
-        if any(c.denominator != 1 for c in q):
-            raise ValueError("quotient is not integral")
-        return IntPolynomial([int(c) for c in q])
+        return IntPolynomial(q)
 
     def __repr__(self) -> str:
         return "IntPolynomial(%r)" % (list(self.coeffs),)
@@ -162,46 +173,32 @@ def format_poly(coeffs: Sequence) -> str:
     return " ".join(parts)
 
 
-def _to_frac(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    """Polynomial long division over the rationals on ascending coeff lists."""
-    if not any(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of a by b over the rationals times a positive constant, as
+    a primitive integer list.  Each step scales by |lc(b)| / g, never by a
+    negative number, so every coefficient has its rational sign."""
+    r, lb = list(a), b[-1]
+    while len(r) >= len(b):
+        g = math.gcd(r[-1], lb)
+        f = r[-1] // g if lb > 0 else -r[-1] // g
+        k = len(r) - len(b)
+        r = [c * (abs(lb) // g) for c in r]
         for i, c in enumerate(b):
-            a[k + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
+            r[k + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return [c // g for c in r] if g > 1 else r
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd via the Euclidean algorithm over the rationals;
-    adequate at the degrees seen here."""
-    a, b = _to_frac(p), _to_frac(q)
-    while any(b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return IntPolynomial([])
-    # clear denominators, then take the primitive part
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return IntPolynomial([int(c * lcm) for c in a]).primitive()
+    """Primitive gcd by the primitive polynomial remainder sequence
+    (Brown–Traub): every remainder is an integer polynomial with its
+    content divided out, so no rational number is built."""
+    a, b = p.coeffs, q.coeffs
+    while b:
+        a, b = b, _prem(a, b)
+    return IntPolynomial(a).primitive()
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:

@@ -517,9 +517,10 @@ def verify_table(which: int, max_index: int = 6) -> dict:
 
 def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
-    approach the family limit monotonically from the correct side."""
-    name, values = row.params[0]
-    values = [v for v in values if v <= max_index]
+    approach the family limit monotonically from the correct side, and,
+    once the values reach the last listed index, come within 0.05 of it."""
+    name, listed = row.params[0]
+    values = [v for v in listed if v <= max_index]
     if len(values) < 2:
         return None
     rest = {n: vals[0] for n, vals in row.params[1:]}
@@ -541,7 +542,7 @@ def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     for r in roots:
         if not compare(r, limit) < 0:
             return "family root does not stay below the limit"
-    if limit.to_float() - roots[-1].to_float() >= 0.05:
+    if values[-1] == listed[-1] and limit.to_float() - roots[-1].to_float() >= 0.05:
         return "family roots do not approach the limit"
     return None
 

@@ -62,6 +62,18 @@ def test_approx_digits():
     assert kappa().approx(6) == "2.205569"
     assert xi().approx(6) == "2.305224"
 
+    def approx(q, digits=6):
+        return AlgebraicNumber.from_rational(q).approx(digits)
+
+    # |x| is rounded half up and the sign put in front
+    assert approx(Fraction(-1, 2)) == "-0.500000"
+    assert approx(Fraction(-1234567, 10**7)) == "-0.123457"
+    assert approx(Fraction(1234567, 10**7)) == "0.123457"
+    assert approx(Fraction(-27, 10), 0) == "-3"
+    assert approx(Fraction(-23, 10), 0) == "-2"
+    assert approx(Fraction(0)) == "0.000000"
+    assert approx(Fraction(-1, 10**8)) == "0.000000"
+
 
 def test_compare_distinguishes_close_roots():
     # roots of the accumulation family crowd just above xi

@@ -1,10 +1,14 @@
 """Randomized invariants over permutations, sequences, and class specs."""
 
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permgrowth.algebraics import count_real_roots
 from permgrowth.classes import ClassSpec, census, member
 from permgrowth.insertion import decode, encode
 from permgrowth.perms import (
@@ -17,6 +21,7 @@ from permgrowth.perms import (
     standardize,
     sum_components,
 )
+from permgrowth.polynomials import IntPolynomial, poly_gcd
 from permgrowth.sequences import SumSequence, is_legal
 
 
@@ -152,3 +157,51 @@ def test_containment_antisymmetry_spot():
     q = Permutation((2, 4, 1, 5, 3))
     assert contains(p, q)
     assert not contains(q, p)
+
+
+# random integer polynomials of degree <= 8, coefficients in -20..20; the
+# extra zeros give degree gaps in remainder sequences, where a pseudo-remainder
+# scaled by a negative leading coefficient flips the sign of a Sturm member
+int_polys = st.lists(st.just(0) | st.integers(-20, 20), max_size=9).map(IntPolynomial)
+nonzero_polys = int_polys.filter(lambda p: not p.is_zero())
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 4))
+_X = sympy.Symbol("x")
+
+
+def _to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], _X, domain="ZZ")
+
+
+def _from_sympy(P):
+    return IntPolynomial([int(c) for c in reversed(P.all_coeffs())])
+
+
+@given(int_polys, int_polys)
+@settings(deadline=None)
+def test_poly_gcd_matches_sympy(p, q):
+    expected = _from_sympy(_to_sympy(p).gcd(_to_sympy(q))).primitive()
+    assert poly_gcd(p, q) == expected
+
+
+@given(int_polys, nonzero_polys)
+def test_exact_div_and_divides_invert_multiplication(a, b):
+    assert (a * b).exact_div(b) == a
+    assert b.divides(a * b)
+
+
+@given(nonzero_polys, nonzero_polys, st.integers(2, 5))
+def test_exact_div_rejects_a_non_integral_quotient(a, b, k):
+    # (a*b) / (k*b) = a/k, which is not integral unless k divides a
+    if a.content() % k == 0:
+        return
+    with pytest.raises(ValueError):
+        (a * b).exact_div(b * k)
+
+
+@given(int_polys, rationals, rationals)
+@settings(deadline=None)
+def test_count_real_roots_matches_sympy(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    roots = set() if p.degree < 1 else set(sympy.real_roots(_to_sympy(p)))
+    expected = sum(1 for r in roots if sympy.Rational(lo) < r <= sympy.Rational(hi))
+    assert count_real_roots(p, lo, hi) == expected

@@ -76,8 +76,18 @@ def test_entries_to_csv_format():
 
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_parameterized_tables_verify_at_low_index(which):
-    # index 5 is the smallest bound at which the slowest families get
-    # within the convergence tolerance of their limits
+    # at index 5 the convergence tolerance is not checked for families whose
+    # last listed index is 6; order and side still are
     result = verify_table(which, max_index=5)
     assert result["passed"], result["problems"]
     assert result["checked"] > 0
+
+
+@pytest.mark.parametrize(
+    "which,max_index",
+    [(3, k) for k in range(7)] + [(4, k) for k in range(4)],
+)
+def test_tables_below_xi_verify_at_every_index(which, max_index):
+    # a valid index narrows the check; it never makes it fail
+    result = verify_table(which, max_index=max_index)
+    assert result["passed"], result["problems"]
