@@ -66,7 +66,9 @@ def _roots_between(chain, lo: Fraction, hi: Fraction) -> int:
 
 def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of ``p`` in the half-open interval
-    (lo, hi]; ``p`` need not be square-free."""
+    (lo, hi]; ``p`` need not be square-free.  Raises ValueError if lo > hi."""
+    if lo > hi:
+        raise ValueError("empty interval: lo > hi")
     sf = square_free_part(p)
     if sf.degree < 1:
         return 0
@@ -258,11 +260,6 @@ def kappa() -> AlgebraicNumber:
 @lru_cache(maxsize=None)
 def xi() -> AlgebraicNumber:
     return largest_real_root(XI_POLY)
-
-
-LAMBDA_B_APPROX = 2.35698
-THETA_B_APPROX = 2.355256
-PHI_APPROX = 1.61803398875
 
 
 def family_roots(

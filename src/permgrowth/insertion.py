@@ -12,11 +12,15 @@ prefix of that element embeds into the decided entries, recording for each
 still-missing entry the interval of slots it may occupy.  A completed
 embedding kills the state; words reaching slot count zero are exactly the
 encodings of class members.
+
+One basis element's step depends only on the element, its signature set,
+the letter and the new slot count, so steps are cached across builds: the
+classes of one search share most basis elements.  Equal signature sets are interned to one
+object, and the cache is cleared once it holds ``_STEP_CACHE_CAP`` steps.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -129,7 +133,7 @@ def decode(letters: Iterable[IELetter]) -> Permutation:
 # automaton construction
 
 
-def _next_entry_tables(basis: Permutation) -> list[int]:
+def _next_entry_tables(basis: Permutation) -> tuple[int, ...]:
     """For each remaining-count k, the rank (in position order) of the next
     entry to match, which is always the least-valued remaining one."""
     entries = basis.entries
@@ -140,7 +144,7 @@ def _next_entry_tables(basis: Permutation) -> list[int]:
         m = L - k  # values 1..m already matched
         remaining = sorted(pos_of_value[v] for v in range(m + 1, L + 1))
         table[k] = remaining.index(pos_of_value[m + 1])
-    return table
+    return tuple(table)
 
 
 def _reindex(window: tuple[int, int], action: str, j: int) -> tuple[int, int]:
@@ -179,6 +183,31 @@ def _dominance_prune(sigs: set) -> frozenset:
 
 
 _DEAD = object()
+
+# the step cache of the module docstring: step key -> interned result, and
+# the intern dict, signature set -> its one shared copy
+_STEP_CACHE_CAP = 1 << 15
+_step_cache: dict = {}
+_interned: dict = {}
+
+
+def _clear_step_cache() -> None:
+    _step_cache.clear()
+    _interned.clear()
+
+
+def _cached_step(sigs, table, action: str, j: int, s_new: int):
+    """``_step_sigset`` through the shared step cache."""
+    key = (sigs, table, action, j, s_new)
+    out = _step_cache.get(key)
+    if out is None:
+        if len(_step_cache) >= _STEP_CACHE_CAP:
+            _clear_step_cache()
+        out = _step_sigset(sigs, table, action, j, s_new)
+        if out is not _DEAD:
+            out = _interned.setdefault(out, out)
+        _step_cache[key] = out
+    return out
 
 
 def _step_sigset(sigs, table, action: str, j: int, s_new: int):
@@ -246,19 +275,6 @@ class Automaton:
             dist = nxt
         return counts
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "initial": self.initial,
-                "accepts": sorted(self.accepts),
-                "transitions": [
-                    {k: v for k, v in sorted(t.items())} for t in self.transitions
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 DEFAULT_SLOT_CAP = 8
 
@@ -281,7 +297,7 @@ def build_automaton(spec: ClassSpec, slot_cap: int = DEFAULT_SLOT_CAP) -> Automa
         s_new = s + {"f": -1, "m": 1}.get(action, 0)
         new_sets = []
         for sigs, table in zip(sets, tables):
-            stepped = _step_sigset(sigs, table, action, j, s_new)
+            stepped = _cached_step(sigs, table, action, j, s_new)
             if stepped is _DEAD:
                 return None
             new_sets.append(stepped)

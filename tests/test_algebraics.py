@@ -27,6 +27,13 @@ def test_count_real_roots():
     assert count_real_roots(IntPolynomial([1, 0, 1]), Fraction(-10), Fraction(10)) == 0
 
 
+def test_count_real_roots_rejects_a_reversed_interval():
+    # once returned -1: Sturm's difference of sign variations, taken backwards
+    with pytest.raises(ValueError):
+        count_real_roots(IntPolynomial([1, -1]), Fraction(1), Fraction(0))
+    assert count_real_roots(IntPolynomial([1, -1]), Fraction(1), Fraction(1)) == 0
+
+
 def test_root_bound_contains_all_roots():
     p = KAPPA_POLY * XI_POLY
     b = root_bound(p)

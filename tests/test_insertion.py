@@ -1,5 +1,6 @@
 import pytest
 
+from permgrowth import insertion
 from permgrowth.classes import census, spec_from_strs
 from permgrowth.insertion import (
     NotRegular,
@@ -87,3 +88,35 @@ def test_automaton_deterministic_and_minimal_smoke():
     # automaton word counts equal the class counts (the empty permutation
     # is accounted for in the generating function, not the automaton)
     assert aut.count_words(8)[1:] == census(spec, 8).member_counts[1:]
+
+
+def test_step_cache_cannot_change_an_automaton(monkeypatch):
+    specs = [
+        spec_from_strs("3 2 1", "3 4 1 2", "4 1 2 3"),
+        # a search-112344 class that reaches a count of 5
+        spec_from_strs("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5"),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(insertion, "_cached_step", insertion._step_sigset)
+        uncached = [build_automaton(spec) for spec in specs]
+    fresh = []
+    for spec in specs:
+        insertion._clear_step_cache()
+        fresh.append(build_automaton(spec))
+    # the second build of the first class reads steps that both earlier
+    # builds cached
+    insertion._clear_step_cache()
+    for k in (0, 1, 0):
+        aut = build_automaton(specs[k])
+        for ref in (fresh[k], uncached[k]):
+            assert aut.initial == ref.initial
+            assert aut.accepts == ref.accepts
+            assert aut.transitions == ref.transitions
+        assert len(insertion._step_cache) <= insertion._STEP_CACHE_CAP
+    # a cap small enough to clear the cache many times within one build
+    monkeypatch.setattr(insertion, "_STEP_CACHE_CAP", 64)
+    insertion._clear_step_cache()
+    aut = build_automaton(specs[1])
+    assert aut.transitions == uncached[1].transitions
+    assert len(insertion._step_cache) <= 64
+    insertion._clear_step_cache()
