@@ -125,11 +125,25 @@ class AlgebraicNumber:
         return float((self.lo + self.hi) / 2)
 
     def approx(self, digits: int = 6) -> str:
-        """Decimal string with ``digits`` places, |x| rounded half up."""
-        self.refine(Fraction(1, 10 ** (digits + 3)))
-        mid = (self.lo + self.hi) / 2
-        q = int(abs(mid) * 10**digits + Fraction(1, 2))
-        sign = "-" if mid < 0 and q else ""
+        """Decimal string with ``digits`` places, |x| rounded half up.
+
+        The rounding boundaries are the odd multiples of 1/(2 * 10^digits).
+        The interval is refined until none lies in (lo, hi], so every point
+        of it rounds alike, or until the root is found to be one of them.
+        """
+        scale = 2 * 10**digits
+        while True:
+            t = self.lo.numerator * scale // self.lo.denominator + 1
+            t += 1 - t % 2  # the least odd t with t / scale > lo
+            if Fraction(t, scale) > self.hi:
+                x = self.hi
+                break
+            if _sign_at(self.poly.coeffs, t, scale) == 0:
+                x = Fraction(t, scale)
+                break
+            self.refine((self.hi - self.lo) / 2)
+        q = int(abs(x) * 10**digits + Fraction(1, 2))
+        sign = "-" if x < 0 and q else ""
         s = str(q)
         if digits == 0:
             return sign + s

@@ -29,7 +29,7 @@ from .algebraics import (
     xi,
 )
 from .classes import ClassSpec, census, spec_from_strs
-from .insertion import SlotBoundExceeded, class_gf, eventual_period, si_gf
+from .insertion import class_gf, eventual_period, si_gf
 from .polynomials import IntPolynomial
 from .reconstruction import RECON_BOUND, verify_reconstruction, verify_taper
 from .sequences import (
@@ -82,14 +82,6 @@ def _basis_key(spec: ClassSpec) -> tuple:
     return tuple(str(p) for p in spec.sorted_basis())
 
 
-def _si_gf_of(spec: ClassSpec):
-    try:
-        f = class_gf(spec)
-    except SlotBoundExceeded:
-        f = class_gf(spec, slot_cap=14)
-    return si_gf(f)
-
-
 def _initial_1123() -> list[ClassSpec]:
     out = []
     for r3 in _SI3:
@@ -139,7 +131,7 @@ def run_search_1123(census_len: int = 10):
         seq = c.si_sequence()
         leaf = max(seq, default=0) <= 5
         if leaf:
-            g = _si_gf_of(spec)
+            g = si_gf(class_gf(spec))
             over = _first_count_above(g, 5)
             if over is not None:
                 leaf = False
@@ -215,7 +207,7 @@ def run_search_112344():
         seq6 = census(spec, 6).si_sequence()
         if seq6 != [1, 1, 2, 3, 4, 4]:
             raise AssertionError("enumeration produced a wrong prefix")
-        g = _si_gf_of(spec)
+        g = si_gf(class_gf(spec))
         prefix, period = eventual_period(g)
         if any(v == 5 for v in prefix[1:]):
             with_five.append(

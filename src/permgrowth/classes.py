@@ -137,7 +137,6 @@ def si_sequence(spec: ClassSpec, max_len: int) -> list[int]:
 def compute_basis(
     oracle: Callable[[Permutation], bool],
     max_len: int,
-    rng: Optional[random.Random] = None,
 ) -> set[Permutation]:
     """All minimal non-members of length <= max_len of the downward-closed
     set decided by ``oracle`` (non-members all of whose children are
@@ -159,9 +158,7 @@ def compute_basis(
                 basis.add(p)
         level = nxt
     # downward-closure spot check: children of members must be members
-    rng = rng or random.Random(0)
-    sample = rng.sample(sorted(level), min(20, len(level))) if level else []
-    for t in sample:
+    for t in random.Random(0).sample(sorted(level), min(20, len(level))):
         p = Permutation._trusted(t)
         for i in range(len(p)):
             if not oracle(p.delete(i)):

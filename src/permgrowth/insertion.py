@@ -13,16 +13,16 @@ still-missing entry the interval of slots it may occupy.  A completed
 embedding kills the state; words reaching slot count zero are exactly the
 encodings of class members.
 
-One basis element's step depends only on the element, its signature set,
-the letter and the new slot count, so steps are cached across builds: the
-classes of one search share most basis elements.  Equal signature sets are interned to one
+One basis element's step depends only on the element, its signature set
+and the letter, so steps are cached across builds: the classes of one
+search share most basis elements.  Equal signature sets are interned to one
 object, and the cache is cleared once it holds ``_STEP_CACHE_CAP`` steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .classes import ClassSpec, has_regular_insertion_encoding
 from .perms import Permutation
@@ -37,9 +37,9 @@ class NotRegular(ValueError):
     finite-slot automaton exists."""
 
 
-class SlotBoundExceeded(RuntimeError):
-    """The construction reached the configured slot cap; results would be
-    unreliable, so the build refuses instead."""
+class SlotBoundExceeded(ValueError):
+    """The construction would need more than ``SLOT_CAP`` simultaneous
+    slots, so the build refuses instead."""
 
 
 @dataclass(frozen=True, order=True)
@@ -196,22 +196,26 @@ def _clear_step_cache() -> None:
     _interned.clear()
 
 
-def _cached_step(sigs, table, action: str, j: int, s_new: int):
+def _cached_step(sigs, table, action: str, j: int):
     """``_step_sigset`` through the shared step cache."""
-    key = (sigs, table, action, j, s_new)
+    key = (sigs, table, action, j)
     out = _step_cache.get(key)
     if out is None:
         if len(_step_cache) >= _STEP_CACHE_CAP:
             _clear_step_cache()
-        out = _step_sigset(sigs, table, action, j, s_new)
+        out = _step_sigset(sigs, table, action, j)
         if out is not _DEAD:
             out = _interned.setdefault(out, out)
         _step_cache[key] = out
     return out
 
 
-def _step_sigset(sigs, table, action: str, j: int, s_new: int):
-    """Evolve one basis element's signature set; _DEAD on completion."""
+def _step_sigset(sigs, table, action: str, j: int):
+    """Evolve one basis element's signature set; _DEAD on completion.
+
+    Every window lies in 1..s, the slot count before the letter, and
+    ``_reindex`` maps each window in 1..s that stays non-empty into
+    1..s_new, the count after it; so no window needs clamping to s_new."""
     out = set()
     # v sits between these slot indices of the new configuration
     if action in ("f", "r"):
@@ -237,7 +241,6 @@ def _step_sigset(sigs, table, action: str, j: int, s_new: int):
                     whi = min(whi, j_left)
                 else:
                     wlo = max(wlo, j_right)
-                    whi = min(whi, s_new)
                 if wlo > whi:
                     alive = False
                     break
@@ -276,15 +279,16 @@ class Automaton:
         return counts
 
 
-DEFAULT_SLOT_CAP = 8
+# the most slots a build may open; no campaign class needs more than 3
+SLOT_CAP = 8
 
 
-def build_automaton(spec: ClassSpec, slot_cap: int = DEFAULT_SLOT_CAP) -> Automaton:
+def build_automaton(spec: ClassSpec) -> Automaton:
     """Minimal deterministic automaton whose accepted words are exactly the
     insertion encodings of the members of ``spec``.
 
     Raises :class:`NotRegular` when the class has no regular insertion
-    encoding and :class:`SlotBoundExceeded` when more than ``slot_cap``
+    encoding and :class:`SlotBoundExceeded` when more than ``SLOT_CAP``
     simultaneous slots would be needed.
     """
     if not has_regular_insertion_encoding(spec):
@@ -297,7 +301,7 @@ def build_automaton(spec: ClassSpec, slot_cap: int = DEFAULT_SLOT_CAP) -> Automa
         s_new = s + {"f": -1, "m": 1}.get(action, 0)
         new_sets = []
         for sigs, table in zip(sets, tables):
-            stepped = _cached_step(sigs, table, action, j, s_new)
+            stepped = _cached_step(sigs, table, action, j)
             if stepped is _DEAD:
                 return None
             new_sets.append(stepped)
@@ -330,9 +334,9 @@ def build_automaton(spec: ClassSpec, slot_cap: int = DEFAULT_SLOT_CAP) -> Automa
         here = transitions[ids[state]]
         for action in ACTIONS:
             s_new = s + {"f": -1, "m": 1}.get(action, 0)
-            if s_new > slot_cap:
+            if s_new > SLOT_CAP:
                 raise SlotBoundExceeded(
-                    "needs more than %d slots; raise slot_cap" % slot_cap
+                    "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
                 )
             for j in range(1, s + 1):
                 target = step(state, action, j)
@@ -439,9 +443,9 @@ def gf_from_automaton(aut: Automaton) -> RationalFunction:
     return one + words
 
 
-def class_gf(spec: ClassSpec, slot_cap: int = DEFAULT_SLOT_CAP) -> RationalFunction:
+def class_gf(spec: ClassSpec) -> RationalFunction:
     """Generating function counting members of ``spec`` by length."""
-    return gf_from_automaton(build_automaton(spec, slot_cap))
+    return gf_from_automaton(build_automaton(spec))
 
 
 def si_gf(f: RationalFunction) -> RationalFunction:

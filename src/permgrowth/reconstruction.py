@@ -10,14 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .perms import (
     Permutation,
     all_permutations,
     children,
-    increasing_oscillation,
-    inflate,
     inversion_graph,
     is_si_entries,
     is_sum_indecomposable,
@@ -56,107 +54,9 @@ def k1_members(n: int) -> set[Permutation]:
     }
 
 
-def _oscillations(n: int) -> list[Permutation]:
-    if n < 3:
-        return [increasing_oscillation(n)] if n >= 1 else []
-    p = increasing_oscillation(n, primary=True)
-    q = increasing_oscillation(n, primary=False)
-    return [p] if p == q else [p, q]
-
-
 def is_increasing_oscillation(p: Permutation) -> bool:
     """Sum indecomposable with a path inversion graph."""
     return is_sum_indecomposable(p) and inversion_graph(p).is_path()
-
-
-def is_k2_form(p: Permutation) -> bool:
-    """Structural membership in K^(2): obtainable from an increasing
-    oscillation by inflating its (at most two) leaf entries by monotone
-    intervals."""
-    _require_si(p)
-    n = len(p)
-    if n <= 2:
-        return True
-    target = p.entries
-    one = Permutation((1,))
-    for m in range(1, n + 1):
-        extra = n - m
-        for osc in _oscillations(m):
-            graph = inversion_graph(osc)
-            if m == 1:
-                leaf_positions = [0]
-            elif m == 2:
-                leaf_positions = [0, 1]
-            else:
-                leaf_positions = sorted(osc.entries.index(v) for v in graph.leaves())
-            splits: list[tuple[int, ...]]
-            if len(leaf_positions) == 1:
-                splits = [(extra + 1,)]
-            else:
-                splits = [(a, extra + 2 - a) for a in range(1, extra + 2)]
-            for sizes in splits:
-                shapes = []
-                for size in sizes:
-                    if size == 1:
-                        shapes.append([one])
-                    else:
-                        shapes.append(
-                            [
-                                Permutation(range(1, size + 1)),
-                                Permutation(range(size, 0, -1)),
-                            ]
-                        )
-                # cartesian product over at most two leaves
-                combos = [[s] for s in shapes[0]]
-                for more in shapes[1:]:
-                    combos = [c + [s] for c in combos for s in more]
-                for combo in combos:
-                    parts = [one] * m
-                    for pos, part in zip(leaf_positions, combo):
-                        parts[pos] = part
-                    if inflate(osc, parts).entries == target:
-                        return True
-    return False
-
-
-def max_locations(kset: Iterable[Permutation]) -> set[int]:
-    """1-based indices at which some member of the set has its maximum."""
-    out = set()
-    for p in kset:
-        out.add(p.entries.index(len(p)) + 1)
-    return out
-
-
-def max_removal_decomposable(kset: frozenset[Permutation] | set[Permutation], n: int) -> bool:
-    """Decide from K(pi) alone whether pi minus its greatest entry is sum
-    decomposable (pi sum indecomposable of length n >= 5, not an increasing
-    oscillation).  All four structural conditions must hold."""
-    kset = set(kset)
-    if not kset:
-        raise ValueError("empty child set")
-    ml = max_locations(kset)
-    if max(ml) - min(ml) > 1:
-        return False
-    top_pair_monotone = 0
-    max_second_to_last = 0
-    begins_with_max = 0
-    for p in kset:
-        m = len(p)
-        i = p.entries.index(m)
-        j = p.entries.index(m - 1) if m >= 2 else -2
-        if abs(i - j) == 1:
-            top_pair_monotone += 1
-        if i == m - 2:
-            max_second_to_last += 1
-        if i == 0:
-            begins_with_max += 1
-    if top_pair_monotone > 1:
-        return False
-    if max_second_to_last > 1:
-        return False
-    if ml == {1, 2} and begins_with_max > 1:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,6 @@ class SumSequence:
     def terms(self, upto: int) -> list[int]:
         return [self.term(n) for n in range(1, upto + 1)]
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.tail
-
     def is_zero(self) -> bool:
         return not self.prefix and not self.tail
 

@@ -32,7 +32,6 @@ from .algebraics import (
     XI_POLY,
     AlgebraicNumber,
     compare,
-    family_roots,
     largest_real_root,
     xi,
 )
@@ -517,40 +516,26 @@ def verify_table(which: int, max_index: int = 6) -> dict:
 
 def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
-    approach the family limit monotonically from the correct side, and,
-    once the values reach the last listed index, come within 0.05 of it."""
+    approach the family limit monotonically from the side ``row.position``
+    names, and, once the values reach the last listed index, come within
+    0.05 of it."""
     name, listed = row.params[0]
     values = [v for v in listed if v <= max_index]
     if len(values) < 2:
         return None
     rest = {n: vals[0] for n, vals in row.params[1:]}
-    if row.table == 2:
-        g = row.poly({**rest, name: 0}) - Q.shift(_t2_shift(row, rest))
-        try:
-            family_roots(Q, g, lambda i: i + _t2_shift(row, rest), values, _ROOT_EPS)
-        except ValueError as exc:
-            return str(exc)
-        return None
+    side = 1 if row.position == "above" else -1  # sign of root - limit
     limit = largest_real_root(row.limit, _ROOT_EPS)
-    roots = []
-    for v in values:
-        pv = {**rest, name: v}
-        roots.append(largest_real_root(row.poly(pv), _ROOT_EPS))
+    roots = [largest_real_root(row.poly({**rest, name: v}), _ROOT_EPS) for v in values]
     for a, b in zip(roots, roots[1:]):
-        if not compare(a, b) < 0:
-            return "family roots are not strictly increasing"
+        if compare(a, b) != side:
+            return "family roots do not move strictly toward the limit"
     for r in roots:
-        if not compare(r, limit) < 0:
-            return "family root does not stay below the limit"
-    if values[-1] == listed[-1] and limit.to_float() - roots[-1].to_float() >= 0.05:
+        if compare(r, limit) != side:
+            return "family root is not %s the limit" % row.position
+    if values[-1] == listed[-1] and abs(limit.to_float() - roots[-1].to_float()) >= 0.05:
         return "family roots do not approach the limit"
     return None
-
-
-def _t2_shift(row: RowTemplate, rest: dict) -> int:
-    # recover the constant part of the shift from the i = 0 instance
-    stated0 = row.poly({**rest, "i": 0})
-    return stated0.degree - Q.degree
 
 
 def enumerate_below_xi(max_index: int = 6) -> list[TableEntry]:

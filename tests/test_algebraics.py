@@ -80,6 +80,12 @@ def test_approx_digits():
     assert approx(Fraction(-23, 10), 0) == "-2"
     assert approx(Fraction(0)) == "0.000000"
     assert approx(Fraction(-1, 10**8)) == "0.000000"
+    # a root on a rounding boundary goes up, found by an exact sign test
+    assert approx(Fraction(5, 2), 0) == "3"
+    assert approx(Fraction(4000001, 2000000)) == "2.000001"
+    # the root is 2.2990674998772..., 1.2e-10 below a boundary
+    p = IntPolynomial([1, 1, 0, 0, 1, 0, 1, 0, -1, -1, -1, 0, -2, 1])
+    assert largest_real_root(p, Fraction(1, 10**9)).approx(6) == "2.299067"
 
 
 def test_compare_distinguishes_close_roots():

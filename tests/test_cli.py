@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import permgrowth
 from permgrowth.cli import main
+from permgrowth.perms import ALTERNATION_KINDS, vertical_alternation
 
 
 def test_pass_exit_code_and_json_output(capsys):
@@ -53,6 +58,9 @@ def test_census_with_basis_file(tmp_path, capsys):
 def test_usage_errors_exit_2(tmp_path, capsys):
     basis = tmp_path / "basis.txt"
     basis.write_text("2 3 1\n")
+    # regular, but its insertion encoding needs more slots than the limit
+    alternations = tmp_path / "alternations.txt"
+    alternations.write_text("".join("%s\n" % vertical_alternation(18, k) for k in ALTERNATION_KINDS))
     cases = [
         ["census"],
         ["classify"],
@@ -79,11 +87,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["xi-basis", "--max-len", "8"],  # the claim has 9 terms
         ["recon-verify", "--max-len", "4"],
         ["taper-verify", "--max-len", "3"],
+        ["growth-rate", "--basis", str(alternations)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:"), argv
+    assert "8-slot limit" in err
 
 
 def test_unknown_campaign_is_an_argparse_error(capsys):
@@ -107,3 +117,12 @@ def test_eps_flag_parses_fractions_and_decimals(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["accumulation", "--eps", "not-a-number"])
+
+
+def test_cli_import_loads_neither_numpy_nor_sympy():
+    # both are imported lazily, where a computation needs them, so that a
+    # short call does not pay for them at start-up
+    code = "import sys, permgrowth.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

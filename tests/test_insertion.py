@@ -120,3 +120,15 @@ def test_step_cache_cannot_change_an_automaton(monkeypatch):
     assert aut.transitions == uncached[1].transitions
     assert len(insertion._step_cache) <= 64
     insertion._clear_step_cache()
+
+
+def test_reindex_keeps_windows_within_the_new_slot_count():
+    # why _step_sigset never clamps a window to the new slot count s_new
+    for s in range(1, 9):
+        for action, delta in (("f", -1), ("l", 0), ("r", 0), ("m", 1)):
+            for j in range(1, s + 1):
+                for lo in range(1, s + 1):
+                    for hi in range(lo, s + 1):
+                        new_lo, new_hi = insertion._reindex((lo, hi), action, j)
+                        if new_lo <= new_hi:
+                            assert 1 <= new_lo and new_hi <= s + delta, (s, action, j, lo, hi)
