@@ -6,7 +6,9 @@ member is a positive multiple of the rational one (see
 at rational points are taken by integer arithmetic.  Roots are carried
 around as ``AlgebraicNumber`` values (square-free defining polynomial plus
 an isolating interval), so comparisons against the named constants are
-exact rather than floating point.
+exact rather than floating point.  ``growth_polynomial`` names a growth
+rate by the irreducible integer factor that owns it, found with
+``polynomials.irreducible_factors``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .polynomials import (
     IntPolynomial,
     RationalFunction,
     _prem,
+    irreducible_factors,
     poly_gcd,
     square_free_part,
 )
@@ -214,21 +217,6 @@ def largest_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPS) -> Algebrai
     return AlgebraicNumber(sf, lo, hi)
 
 
-def _irreducible_factors(p: IntPolynomial) -> list[IntPolynomial]:
-    # sympy is imported lazily: the plain root-isolation paths above must
-    # stay importable and fast without it
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(c * x**i for i, c in enumerate(p.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
-    out = []
-    for fac, _mult in factors:
-        coeffs = [int(c) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-        out.append(IntPolynomial(coeffs).primitive())
-    return out
-
-
 def growth_polynomial(f: RationalFunction) -> IntPolynomial:
     """The irreducible factor of the reciprocal denominator that owns its
     greatest real root, which is 1/rho for the least positive singularity
@@ -244,7 +232,7 @@ def growth_polynomial(f: RationalFunction) -> IntPolynomial:
     # the root is positive iff (0, hi] holds a root: none lies above it
     if root is None or _roots_between(root._chain, Fraction(0), root.hi) < 1:
         raise ValueError("polynomial has no positive real root")
-    factors = [g for g in _irreducible_factors(rev) if g.degree >= 1]
+    factors = irreducible_factors(rev)
     # refine until exactly one irreducible factor owns the isolating interval
     while True:
         owners = [

@@ -361,23 +361,21 @@ TABLES: dict[int, tuple[RowTemplate, ...]] = {
 }
 
 
-_X = IntPolynomial([0, 1])
-_XM1 = IntPolynomial([-1, 1])
-_XP1 = IntPolynomial([1, 1])
-
-
 def _strip_trivial(p: IntPolynomial) -> IntPolynomial:
     """Remove all factors x, x - 1, x + 1 and normalize to a primitive
     polynomial with positive leading coefficient."""
-    p = p.primitive()
-    if p.leading < 0:
-        p = -p
-    for q in (_X, _XM1, _XP1):
-        while p.degree >= 1 and q.divides(p):
-            p = p.exact_div(q)
-    if p.leading < 0:
-        p = -p
-    return p.primitive() if p.degree >= 0 else ONE
+    cs = list(p.primitive().coeffs)
+    while cs[0] == 0:
+        del cs[0]
+    for r in (1, -1):
+        # p(r) == 0: divide by x - r synthetically
+        while len(cs) > 1 and sum(cs[::2]) + r * sum(cs[1::2]) == 0:
+            acc = 0
+            for i in range(len(cs) - 1, 0, -1):
+                acc = acc * r + cs[i]
+                cs[i] = acc
+            del cs[0]
+    return IntPolynomial(cs)
 
 
 def _computed_core(s: SumSequence) -> IntPolynomial:

@@ -123,6 +123,26 @@ def test_growth_polynomial_strips_trivial_factors():
     assert compare(r, AlgebraicNumber.from_rational(Fraction(2))) == 0
 
 
+def test_growth_polynomial_picks_the_owning_factor():
+    # 1/((1 - x - x^2)(1 + x - x^2)): the reciprocal denominator is
+    # (x^2 - x - 1)(x^2 + x - 1), whose greatest root is the golden ratio
+    den = IntPolynomial([1, -1, -1]) * IntPolynomial([1, 1, -1])
+    assert growth_polynomial(RationalFunction(ONE, den)) == IntPolynomial([-1, -1, 1])
+    # x^4 + 1 is irreducible over the integers but splits modulo every prime
+    den = IntPolynomial([1, -1, -1]) * IntPolynomial([1, 0, 0, 0, 1])
+    assert growth_polynomial(RationalFunction(ONE, den)) == IntPolynomial([-1, -1, 1])
+    den = IntPolynomial([1, -3]) * IntPolynomial([1, 0, 0, 0, 1]) * IntPolynomial([1, -2])
+    assert growth_polynomial(RationalFunction(ONE, den)) == IntPolynomial([-3, 1])
+
+
+def test_growth_polynomial_rejects_a_double_or_missing_singularity():
+    golden = IntPolynomial([1, -1, -1])
+    with pytest.raises(ValueError, match="not a simple root"):
+        growth_polynomial(RationalFunction(ONE, golden * golden))
+    with pytest.raises(ValueError, match="no positive real root"):
+        growth_polynomial(RationalFunction(ONE, IntPolynomial([1, 1])))
+
+
 def test_nonpositive_eps_raises():
     # bisection to width <= eps never ends for eps <= 0
     for eps in (Fraction(0), Fraction(-1)):

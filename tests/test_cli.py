@@ -8,6 +8,7 @@ import pytest
 import permgrowth
 from permgrowth.cli import main
 from permgrowth.perms import ALTERNATION_KINDS, vertical_alternation
+from permgrowth.sequences import SumSequence, realize
 
 
 def test_pass_exit_code_and_json_output(capsys):
@@ -119,10 +120,26 @@ def test_eps_flag_parses_fractions_and_decimals(capsys):
         main(["accumulation", "--eps", "not-a-number"])
 
 
-def test_cli_import_loads_neither_numpy_nor_sympy():
-    # both are imported lazily, where a computation needs them, so that a
-    # short call does not pay for them at start-up
-    code = "import sys, permgrowth.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+def test_cli_import_loads_neither_numpy_nor_sympy(tmp_path):
+    # numpy is imported lazily, where a table needs it, so that a short call
+    # does not pay for it at start-up; growth rates factor their polynomials
+    # without sympy, so the calls that classify a sequence or a class never
+    # load it
+    witness = realize(SumSequence([1, 1, 2, 4, 3, 3, 2, 1])).spec.sorted_basis()
+    basis = tmp_path / "xi_witness.txt"
+    basis.write_text("".join("%s\n" % p for p in witness))
+    calls = [
+        ["classify", "--seq", "1,1,2,3,4,4,4,4,4,6,3"],
+        ["growth-rate", "--seq", "1,1,2,2,(1)"],
+        ["growth-rate", "--basis", str(basis)],
+    ]
+    code = (
+        "import contextlib, io, sys, permgrowth.cli\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [permgrowth.cli.main(argv) for argv in %r]\n"
+        "print(codes, 'sympy' in sys.modules)\n" % (calls,)
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    assert run.stdout == "[]\n[0, 0, 0] False\n"

@@ -21,7 +21,7 @@ from permgrowth.perms import (
     standardize,
     sum_components,
 )
-from permgrowth.polynomials import IntPolynomial, poly_gcd
+from permgrowth.polynomials import IntPolynomial, irreducible_factors, poly_gcd
 from permgrowth.sequences import SumSequence, is_legal
 
 
@@ -205,3 +205,64 @@ def test_count_real_roots_matches_sympy(p, a, b):
     roots = set() if p.degree < 1 else set(sympy.real_roots(_to_sympy(p)))
     expected = sum(1 for r in roots if sympy.Rational(lo) < r <= sympy.Rational(hi))
     assert count_real_roots(p, lo, hi) == expected
+
+
+def _sympy_factors(p):
+    _, factors = _to_sympy(p).factor_list()
+    out = [_from_sympy(P).primitive() for P, _ in factors if P.degree() >= 1]
+    return sorted(out, key=lambda g: (g.degree, g.coeffs))
+
+
+_CYCLOTOMIC = [_from_sympy(sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)) for n in range(1, 25)]
+# random factors of degree 1..6 with leading coefficient 1..3
+_random_factors = st.builds(
+    lambda low, lead: IntPolynomial(low + [lead]),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+    st.integers(1, 3),
+)
+_squared = st.tuples(st.sampled_from(_CYCLOTOMIC) | _random_factors, st.booleans()).map(
+    lambda fs: fs[0] * fs[0] if fs[1] else fs[0]
+)
+
+
+def _product_to_degree_30(factors):
+    p = IntPolynomial([1])
+    for f in factors:
+        if p.degree + f.degree <= 30:
+            p = p * f
+    return p
+
+
+@given(st.lists(_squared, min_size=1, max_size=4).map(_product_to_degree_30))
+@settings(deadline=None)
+def test_irreducible_factors_match_sympy(p):
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+def test_irreducible_factors_fixed_cases():
+    def poly(expr):
+        return _from_sympy(sympy.Poly(expr, _X))
+
+    # irreducible, though they split into linear or quadratic factors
+    # modulo every prime, so recombination has to try large subsets
+    for p in (
+        poly(_X**4 + 1),
+        poly(sympy.swinnerton_dyer_poly(3, _X)),
+        poly(sympy.swinnerton_dyer_poly(4, _X)),
+    ):
+        assert irreducible_factors(p) == [p]
+    xi = IntPolynomial([-1, -1, -1, 0, -2, 1])
+    cyclotomic = [poly(sympy.cyclotomic_poly(n, _X)) for n in (3, 4, 5, 7, 8, 9, 12)]
+    product = xi
+    for c in cyclotomic:
+        product = product * c
+    assert product.degree == 33
+    assert irreducible_factors(product) == _sympy_factors(product)
+    assert set(irreducible_factors(product)) == set(cyclotomic) | {xi}
+    # non-monic, with a content and a negative leading coefficient
+    factors = [IntPolynomial([1, 2]), IntPolynomial([-1, 0, 3]), IntPolynomial([1, 1, 0, 2])]
+    product = IntPolynomial([-6]) * factors[0] * factors[1] * factors[1] * factors[2]
+    assert irreducible_factors(product) == factors == _sympy_factors(product)
+    assert irreducible_factors(IntPolynomial([])) == []
+    assert irreducible_factors(IntPolynomial([-7])) == []
+    assert irreducible_factors(IntPolynomial([4, -6])) == [IntPolynomial([-2, 3])]

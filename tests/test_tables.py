@@ -1,9 +1,11 @@
 import pytest
 
 from permgrowth.algebraics import XI_POLY
+from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, is_legal
 from permgrowth.tables import (
     TABLES,
+    _strip_trivial,
     entries_to_csv,
     enumerate_below_xi,
     table_rows,
@@ -23,6 +25,15 @@ def test_table_one_first_row_is_threshold_polynomial():
     assert e.polynomial == XI_POLY
     assert e.position == "at"
     assert e.sequence == SumSequence.parse("1,1,2,4,3,3,2,1")
+
+
+def test_strip_trivial_removes_x_and_x_minus_and_plus_one():
+    x, xm1, xp1 = IntPolynomial([0, 1]), IntPolynomial([-1, 1]), IntPolynomial([1, 1])
+    core = XI_POLY * IntPolynomial([1, 0, 1])
+    p = IntPolynomial([-3]) * x * x * xm1 * xm1 * xp1 * core
+    assert _strip_trivial(p) == core
+    assert _strip_trivial(xp1 * xp1 * xm1 * 2) == IntPolynomial([1])
+    assert _strip_trivial(IntPolynomial([-2, 4])) == IntPolynomial([-1, 2])
 
 
 def test_all_table_sequences_are_legal():
