@@ -9,8 +9,8 @@ denotes the empty permutation.
 
 The enumeration loops of the package run on plain entry tuples rather than
 on :class:`Permutation` objects; the tuple helpers (``is_si_entries``,
-``delete_entry``, ``si_children_entries`` and ``next_level``) are the single
-implementation behind both.
+``delete_entry``, ``si_children_entries``, ``next_level`` and
+``next_si_level``) are the single implementation behind both.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def si_children_entries(t: tuple[int, ...]) -> set[tuple[int, ...]]:
     """The distinct sum indecomposable single-entry deletions of ``t``."""
     out = set()
     for i, v in enumerate(t):
-        # delete_entry inlined: this loop dominates the taper exhaustions
+        # delete_entry inlined for speed
         c = tuple(x - 1 if x > v else x for x in t[:i] + t[i + 1:])
         if is_si_entries(c):
             out.add(c)
@@ -169,6 +169,44 @@ def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
             c = p[:pos] + (top,) + p[pos:]
             if all(delete_entry(c, i) in level for i in range(top) if i != pos):
                 yield c
+
+
+def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
+    """Every sum indecomposable entry tuple one longer than the members of
+    ``level`` that has a child in ``level``, mapped to the set of those
+    children.
+
+    This works from the insertion side: each single-entry insertion into a
+    member is a candidate, and the member is one of its children.  Every sum
+    indecomposable permutation of length n >= 2 has a sum indecomposable
+    child (its inversion graph is connected, so some vertex can go without
+    disconnecting it).  So when ``level`` holds every sum indecomposable
+    tuple of its length, the keys are every such tuple one longer and each
+    value is its set K of sum indecomposable children.  ``level`` must hold
+    tuples of a single length.
+
+    >>> sorted(next_si_level({(1,)}).items())
+    [((2, 1), frozenset({(1,)}))]
+    """
+    found = {}
+    get = found.get
+    for p in level:
+        top = len(p) + 1
+        for val in range(1, top + 1):
+            shifted = tuple(x + 1 if x >= val else x for x in p)
+            for pos in range(top):
+                c = shifted[:pos] + (val,) + shifted[pos:]
+                kids = get(c)
+                if kids is None:
+                    found[c] = [p]
+                elif kids[-1] is not p:  # else a repeat of c from this p
+                    kids.append(p)
+    # in place, so that each list is freed as its set is made
+    for c, kids in found.items():
+        found[c] = frozenset(kids)
+    for c in [c for c in found if not is_si_entries(c)]:
+        del found[c]
+    return found
 
 
 def contains(pattern: Permutation, text: Permutation) -> bool:

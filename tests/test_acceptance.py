@@ -57,7 +57,6 @@ def test_reconstruction_exhaustive(n):
     assert report.checked == {5: 71, 6: 461, 7: 3447}[n]
 
 
-@pytest.mark.slow
 def test_reconstruction_exhaustive_length_8():
     report = verify_reconstruction(8)
     assert report.passed

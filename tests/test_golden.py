@@ -19,6 +19,7 @@ GOLDEN = {
     "xi-basis": ("xi-basis", {}),
     "accumulation": ("accumulation", {}),
     "recon-verify": ("recon-verify", {}),
+    "recon-verify-8": ("recon-verify", {"n": 8}),
     "taper-verify": ("taper-verify", {}),
     "table1": ("table1", {}),
     "table2": ("table2", {}),

@@ -12,6 +12,7 @@ from permgrowth.perms import (
     inversion_graph,
     is_sum_indecomposable,
     monotone_quotient,
+    next_si_level,
     parse_permutation,
     skew_sum,
     split_end_member,
@@ -73,6 +74,35 @@ def test_sum_indecomposable_matches_inversion_graph_connectivity():
         for p in all_permutations(n):
             g = inversion_graph(p)
             assert is_sum_indecomposable(p) == g.is_connected()
+
+
+def _si_level(n):
+    return {p.entries for p in all_permutations(n) if is_sum_indecomposable(p)}
+
+
+def _k(t):
+    return {c.entries for c in children(Permutation(t), indecomposable_only=True)}
+
+
+def test_next_si_level_gives_every_si_permutation_with_its_k_set():
+    counts = []
+    for n in range(2, 8):
+        step = next_si_level(_si_level(n - 1))
+        assert set(step) == _si_level(n)
+        for c, kids in step.items():
+            assert kids == _k(c)
+        counts.append(len(step))
+    assert counts == [1, 3, 13, 71, 461, 3447]
+
+
+def test_next_si_level_on_a_restricted_level():
+    # the members of K^(2): at most two sum indecomposable children
+    for n in range(3, 8):
+        level = {t for t in _si_level(n - 1) if len(_k(t)) <= 2}
+        step = next_si_level(level)
+        assert set(step) == {c for c in _si_level(n) if _k(c) & level}
+        for c, kids in step.items():
+            assert kids == _k(c) & level
 
 
 def test_direct_sum_and_components_round_trip():

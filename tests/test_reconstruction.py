@@ -64,8 +64,8 @@ def test_verify_reconstruction_counts():
 
 
 def test_k_bounded_members_match_brute_force():
-    for n in (4, 5, 6, 7):
-        for m in (1, 2, 3, 4):
+    for n in range(1, 8):
+        for m in range(5):
             expected = sorted(
                 p for p in sum_indecomposables(n) if k_class(p) <= m
             )
