@@ -8,7 +8,10 @@ around as ``AlgebraicNumber`` values (square-free defining polynomial plus
 an isolating interval), so comparisons against the named constants are
 exact rather than floating point.  ``growth_polynomial`` names a growth
 rate by the irreducible integer factor that owns it, found with
-``polynomials.irreducible_factors``.
+``polynomials.irreducible_factors``.  A root is isolated once and refined
+on demand: ``compare``, ``approx`` and ``to_float`` narrow it as far as
+they need, so no answer or printed digit depends on the width; a reader of
+``lo``/``hi`` calls ``refine(eps)`` first.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .polynomials import (
     poly_gcd,
     square_free_part,
 )
-
-DEFAULT_EPS = Fraction(1, 10**12)
-
 
 def _check_eps(eps: Fraction) -> None:
     # bisection stops at width <= eps, which it never reaches for eps <= 0
@@ -111,17 +111,19 @@ class AlgebraicNumber:
     def refine(self, eps: Fraction) -> None:
         """Shrink the isolating interval to width <= eps (bisection)."""
         _check_eps(eps)
-        lo, hi = self.lo, self.hi
-        v_lo = _sign_variations(self._chain, lo)
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            v_mid = _sign_variations(self._chain, mid)
-            if v_lo - v_mid == 1:
-                hi = mid
-            else:
-                lo, v_lo = mid, v_mid
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        while self.hi - self.lo > eps:
+            self._cut((self.lo + self.hi) / 2)
+
+    def _cut(self, m: Fraction) -> None:
+        """Move hi or lo to m in (lo, hi), keeping the root inside.  The root
+        is simple and alone in (lo, hi], so the poly has one sign on (lo, root)
+        and the other on (root, hi]; one sign test at m tells the side."""
+        coeffs = self.poly.coeffs
+        at_hi = _sign_at(coeffs, self.hi.numerator, self.hi.denominator)
+        if at_hi and _sign_at(coeffs, m.numerator, m.denominator) != -at_hi:
+            object.__setattr__(self, "hi", m)
+        else:
+            object.__setattr__(self, "lo", m)
 
     def to_float(self) -> float:
         self.refine(Fraction(1, 10**15))
@@ -130,21 +132,20 @@ class AlgebraicNumber:
     def approx(self, digits: int = 6) -> str:
         """Decimal string with ``digits`` places, |x| rounded half up.
 
-        The rounding boundaries are the odd multiples of 1/(2 * 10^digits).
-        The interval is refined until none lies in (lo, hi], so every point
-        of it rounds alike, or until the root is found to be one of them.
+        The rounding boundaries are the odd multiples of 1/(2 * 10^digits),
+        so at width 1/(2 * 10^digits) at most one lies in (lo, hi].  Unless
+        the root is that one, a cut there leaves the interval's midpoint
+        rounding as the root does.
         """
         scale = 2 * 10**digits
-        while True:
-            t = self.lo.numerator * scale // self.lo.denominator + 1
-            t += 1 - t % 2  # the least odd t with t / scale > lo
-            if Fraction(t, scale) > self.hi:
-                x = self.hi
-                break
-            if _sign_at(self.poly.coeffs, t, scale) == 0:
-                x = Fraction(t, scale)
-                break
-            self.refine((self.hi - self.lo) / 2)
+        self.refine(Fraction(1, scale))
+        t = self.hi.numerator * scale // self.hi.denominator
+        t -= 1 - t % 2  # the greatest odd t with t / scale <= hi
+        x = Fraction(t, scale)
+        if x <= self.lo or _sign_at(self.poly.coeffs, t, scale):
+            if self.lo < x < self.hi:
+                self._cut(x)
+            x = (self.lo + self.hi) / 2
         q = int(abs(x) * 10**digits + Fraction(1, 2))
         sign = "-" if x < 0 and q else ""
         s = str(q)
@@ -175,28 +176,37 @@ class AlgebraicNumber:
 def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     """Exact trichotomy: -1, 0, or +1.
 
-    Equality is decided by a square-free gcd test before any unbounded
-    refinement, so the function always terminates.
+    Disjoint intervals decide at once.  While they overlap, equality is
+    decided by a root of the square-free gcd in the overlap, before any
+    unbounded refinement, so the function always terminates.
+
+    >>> compare(kappa(), xi())
+    -1
     """
-    g = poly_gcd(a.poly, b.poly)
+    gcd_chain = None
     while True:
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        if lo < hi and g.degree >= 1 and count_real_roots(g, lo, hi) >= 1:
-            # the shared gcd root inside both intervals is each number's root
-            return 0
         if a.hi <= b.lo:
             return -1
         if b.hi <= a.lo:
             return 1
+        if gcd_chain is None:
+            g = poly_gcd(a.poly, b.poly)  # square free, as both polys are
+            gcd_chain = sturm_sequence(g) if g.degree >= 1 else []
+        if gcd_chain and _roots_between(gcd_chain, max(a.lo, b.lo), min(a.hi, b.hi)) >= 1:
+            # the shared gcd root inside both intervals is each number's root
+            return 0
         width = max(a.hi - a.lo, b.hi - b.lo)
         a.refine(width / 4)
         b.refine(width / 4)
 
 
-def largest_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPS) -> AlgebraicNumber:
-    """The greatest real root of ``p``, isolated to width <= eps."""
-    _check_eps(eps)
+def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
+    """The greatest real root of ``p``, isolated: the only real root of the
+    square-free part of ``p`` in the returned (lo, hi].
+
+    >>> largest_real_root(XI_POLY).approx(6)
+    '2.305224'
+    """
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     sf = square_free_part(p)
@@ -207,7 +217,7 @@ def largest_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPS) -> Algebrai
     if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
     # push lo right while keeping at least one root in (lo, hi]
-    while v_lo - v_hi > 1 or hi - lo > eps:
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
         v_mid = _sign_variations(chain, mid)
         if v_mid - v_hi >= 1:
@@ -232,16 +242,11 @@ def growth_polynomial(f: RationalFunction) -> IntPolynomial:
     # the root is positive iff (0, hi] holds a root: none lies above it
     if root is None or _roots_between(root._chain, Fraction(0), root.hi) < 1:
         raise ValueError("polynomial has no positive real root")
-    factors = irreducible_factors(rev)
-    # refine until exactly one irreducible factor owns the isolating interval
-    while True:
-        owners = [
-            g for g in factors if count_real_roots(g, root.lo, root.hi) >= 1
-        ]
-        if len(owners) == 1:
-            break
-        root.refine((root.hi - root.lo) / 4)
-    factor = owners[0]
+    # the interval isolates the root among those of the square-free part of
+    # rev, the product of its irreducible factors, so exactly one owns it
+    factor = next(
+        g for g in irreducible_factors(rev) if count_real_roots(g, root.lo, root.hi)
+    )
     # the owning factor must appear exactly once (simple singularity)
     if factor.divides(rev.exact_div(factor)):
         raise ValueError("least positive singularity is not a simple root")
@@ -269,7 +274,6 @@ def family_roots(
     g: IntPolynomial,
     shift: Callable[[int], int],
     i_range: Iterable[int],
-    eps: Fraction = DEFAULT_EPS,
 ) -> list[AlgebraicNumber]:
     """Largest real roots of h_i = x^shift(i) * f + g over ``i_range``.
 
@@ -279,10 +283,10 @@ def family_roots(
     r for every i.
     """
     i_list = list(i_range)
-    r = largest_real_root(f, eps)
+    r = largest_real_root(f)
     if g.is_zero():
-        return [largest_real_root(f, eps) for _ in i_list]
-    roots = [largest_real_root(f * IntPolynomial.monomial(shift(i)) + g, eps) for i in i_list]
+        return [largest_real_root(f) for _ in i_list]
+    roots = [largest_real_root(f * IntPolynomial.monomial(shift(i)) + g) for i in i_list]
     for a, b in zip(roots, roots[1:]):
         if not compare(b, a) < 0:
             raise ValueError("family roots are not strictly decreasing")

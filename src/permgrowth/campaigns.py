@@ -346,10 +346,12 @@ def run_accumulation(eps: Fraction = Fraction(1, 10**9)):
     strictly decreasing, all above xi, with the last within 1/1000 of xi."""
     f = XI_POLY * IntPolynomial([1, 1])
     g = IntPolynomial([-1])
-    roots = family_roots(f, g, lambda i: 2 * i + 1, range(1, 11), eps)
+    roots = family_roots(f, g, lambda i: 2 * i + 1, range(1, 11))
+    x = xi()
+    for r in roots + [x]:
+        r.refine(eps)
     last = roots[-1]
     last.refine(Fraction(1, 10**9))
-    x = xi()
     x.refine(Fraction(1, 10**9))
     close = last.hi - x.lo < Fraction(1, 1000)
     return (
@@ -380,17 +382,16 @@ def run_growth_rate(
     if (spec is None) == (seq is None):
         raise ValueError("provide exactly one of a basis or a sequence")
     if spec is not None:
-        f = class_gf(spec)
-        poly = growth_polynomial(f)
-        root = largest_real_root(poly, eps)
+        poly = growth_polynomial(class_gf(spec))
+        root = largest_real_root(poly)
         params = {"basis": [str(p) for p in spec.sorted_basis()]}
     else:
         if not is_legal(seq):
             raise ValueError("sequence %s is illegal" % seq)
         root = growth_rate_of_sequence(seq)
-        root.refine(eps)
         poly = root.poly
         params = {"sequence": str(seq)}
+    root.refine(eps)
     return (
         params,
         True,

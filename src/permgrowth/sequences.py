@@ -166,9 +166,15 @@ def gf_of_sequence(s: SumSequence) -> RationalFunction:
 
 def class_gf_of_sequence(s: SumSequence) -> RationalFunction:
     """f = 1/(1 - g), the generating function of a sum closed class whose
-    sum indecomposable members are counted by s."""
-    one = RationalFunction.from_poly(ONE)
-    return one / (one - gf_of_sequence(s))
+    sum indecomposable members are counted by s.  With A the prefix
+    polynomial and B/(1 - x^P) the tail term, it is built with one gcd as
+    f = (1 - x^P) / ((1 - x^P)(1 - A) - B), or 1/(1 - A) without a tail."""
+    one_minus_a = IntPolynomial((1,) + tuple(-c for c in s.prefix))
+    if not s.tail:
+        return RationalFunction(ONE, one_minus_a)
+    cycle = IntPolynomial((1,) + (0,) * (len(s.tail) - 1) + (-1,))
+    b = IntPolynomial((0,) * (len(s.prefix) + 1) + s.tail)
+    return RationalFunction(cycle, cycle * one_minus_a - b)
 
 
 def growth_rate_of_sequence(s: SumSequence) -> AlgebraicNumber:

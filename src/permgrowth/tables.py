@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebraics import (
@@ -44,7 +44,6 @@ from .sequences import (
 )
 
 ONE = IntPolynomial([1])
-_ROOT_EPS = Fraction(1, 10**9)
 
 
 def _poly(terms: dict[int, int]) -> IntPolynomial:
@@ -67,9 +66,9 @@ class RowTemplate:
     params: tuple  # ordered (name, tuple of allowed values)
     poly: Callable[[dict], IntPolynomial]
     position: str  # "at" | "above" | "below"
-    # positivity certificate for "below" rows: stated = x^shift * base + R
+    # positivity certificate for "below" rows: stated = x^a * base + R,
+    # a = deg stated - deg base
     base: Optional[Callable[[dict], IntPolynomial]] = None
-    base_shift: Optional[Callable[[dict], int]] = None
     convergent: bool = False
     limit: Optional[IntPolynomial] = None
 
@@ -176,7 +175,7 @@ _TABLE2 = (
 
 
 # base polynomials for the table 3 families; each has greatest real root
-# strictly below xi, verified once and cached
+# strictly below xi, isolated once
 _B_1331 = _poly({5: 1, 4: -2, 2: -2, 0: 2})
 _B_113_2 = _poly({4: 1, 3: -2, 1: -2, 0: 1})
 _B_1125_1 = _poly({5: 1, 4: -2, 2: -1, 1: -3, 0: 4})
@@ -187,11 +186,8 @@ _B_1124_2 = _poly({5: 1, 4: -2, 2: -1, 1: -2, 0: 2})
 _B_ONE = _poly({1: 1, 0: -2})
 
 
-def _t3_fixed(family: str, atoms: tuple, tail: Optional[int], base: IntPolynomial) -> RowTemplate:
-    return RowTemplate(
-        3, family, atoms, tail, (), lambda pv, p=base: p, "below",
-        base=lambda pv, p=base: p, base_shift=lambda pv: 0,
-    )
+def _t3_fixed(family: str, atoms: tuple, tail: Optional[int], stated: IntPolynomial) -> RowTemplate:
+    return RowTemplate(3, family, atoms, tail, (), lambda pv, p=stated: p, "below")
 
 
 def _t3_i(family: str, atoms: tuple, tail: Optional[int], base: IntPolynomial,
@@ -202,7 +198,6 @@ def _t3_i(family: str, atoms: tuple, tail: Optional[int], base: IntPolynomial,
         3, family, atoms, tail, (("i", values),),
         lambda pv, b=base: b.shift(pv["i"]) + ONE, "below",
         base=(lambda pv, b=base: b) if convergent else None,
-        base_shift=(lambda pv: pv["i"]) if convergent else None,
         convergent=convergent, limit=base if convergent else None,
     )
 
@@ -213,7 +208,6 @@ def _t3_ij(family: str, atoms: tuple, base: IntPolynomial) -> RowTemplate:
         lambda pv, b=base: b.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
         "below",
         base=lambda pv, b=base: b,
-        base_shift=lambda pv: pv["i"] + pv["j"],
         convergent=True, limit=base,
     )
 
@@ -305,42 +299,37 @@ _TABLE4 = (
                 (("i", LE1), ("j", LE1), ("k", FULL)),
                 lambda pv: _t4_certified(pv).shift(pv["k"]) + ONE,
                 "below",
-                base=_t4_certified, base_shift=lambda pv: pv["k"]),
+                base=_t4_certified),
     RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^k,1^l",
                 _HEAD + ((4, "i"), (5, 1), (3, "j"), (2, "k"), (1, "l")), None,
                 (("i", LE1), ("j", LE1), ("k", FULL), ("l", FULL)),
                 lambda pv: _t4_certified(pv).shift(pv["k"] + pv["l"])
                 + _mono(pv["l"]) + ONE,
                 "below",
-                base=_t4_certified, base_shift=lambda pv: pv["k"] + pv["l"]),
+                base=_t4_certified),
     RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^k,1^l",
                 _HEAD + ((4, "i"), (5, 1), (3, "j"), (2, "k"), (1, "l")), None,
                 (("i", EVEN), ("j", LE1), ("k", FULL), ("l", LE1)),
                 lambda pv: _t4_certified(pv).shift(pv["k"] + pv["l"])
                 + _mono(pv["l"]) + ONE,
                 "below",
-                base=_t4_certified, base_shift=lambda pv: pv["k"] + pv["l"],
-                convergent=True, limit=Q),
+                base=_t4_certified, convergent=True, limit=Q),
     RowTemplate(4, "1,1,2,3,4^i,3^inf", _HEAD + ((4, "i"),), 3,
                 (("i", FULL),),
                 lambda pv: Q.shift(pv["i"]) + ONE, "below",
-                base=lambda pv: Q, base_shift=lambda pv: pv["i"],
-                convergent=True, limit=Q),
+                base=lambda pv: Q, convergent=True, limit=Q),
     RowTemplate(4, "1,1,2,3,4^i,3^j,2^inf", _HEAD + ((4, "i"), (3, "j")), 2,
                 (("i", FULL), ("j", FULL)),
                 lambda pv: Q.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
                 "below",
-                base=lambda pv: Q, base_shift=lambda pv: pv["i"] + pv["j"],
-                convergent=True, limit=Q),
+                base=lambda pv: Q, convergent=True, limit=Q),
     RowTemplate(4, "1,1,2,3,4^i,3^j,2^k,1^inf",
                 _HEAD + ((4, "i"), (3, "j"), (2, "k")), 1,
                 (("i", FULL), ("j", FULL), ("k", FULL)),
                 lambda pv: Q.shift(pv["i"] + pv["j"] + pv["k"])
                 + _mono(pv["j"] + pv["k"]) + _mono(pv["k"]) + ONE,
                 "below",
-                base=lambda pv: Q,
-                base_shift=lambda pv: pv["i"] + pv["j"] + pv["k"],
-                convergent=True, limit=Q),
+                base=lambda pv: Q, convergent=True, limit=Q),
     RowTemplate(4, "1,1,2,3,4^i,3^j,2^k,1^l",
                 _HEAD + ((4, "i"), (3, "j"), (2, "k"), (1, "l")), None,
                 (("i", FULL), ("j", FULL), ("k", FULL), ("l", FULL)),
@@ -348,9 +337,7 @@ _TABLE4 = (
                 + _mono(pv["j"] + pv["k"] + pv["l"])
                 + _mono(pv["k"] + pv["l"]) + _mono(pv["l"]) + ONE,
                 "below",
-                base=lambda pv: Q,
-                base_shift=lambda pv: pv["i"] + pv["j"] + pv["k"] + pv["l"],
-                convergent=True, limit=Q),
+                base=lambda pv: Q, convergent=True, limit=Q),
 )
 
 TABLES: dict[int, tuple[RowTemplate, ...]] = {
@@ -393,26 +380,24 @@ def _float_largest_root(p: IntPolynomial) -> float:
     return float(max(reals))
 
 
-_BASE_BELOW_XI: dict[tuple, bool] = {}
+@lru_cache(maxsize=None)
+def _root(p: IntPolynomial) -> AlgebraicNumber:
+    """The greatest real root of ``p``, isolated once per polynomial; that
+    of ``XI_POLY`` is ``xi()`` itself."""
+    return xi() if p == XI_POLY else largest_real_root(p)
 
 
-def _base_below_xi(base: IntPolynomial) -> bool:
-    key = base.coeffs
-    if key not in _BASE_BELOW_XI:
-        _BASE_BELOW_XI[key] = compare(largest_real_root(base, _ROOT_EPS), xi()) < 0
-    return _BASE_BELOW_XI[key]
-
-
-def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial, shift: int) -> bool:
-    """True when stated = x^shift * base + R with R >= 0 coefficientwise and
-    base has no real root above xi; then stated is positive on [xi, inf)."""
-    rem = stated - base.shift(shift)
+def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
+    """True when stated = x^a * base + R, a = deg stated - deg base, with
+    R >= 0 coefficientwise and base has no real root above xi; then stated
+    is positive on [xi, inf)."""
+    rem = stated - base.shift(stated.degree - base.degree)
     if any(c < 0 for c in rem.coeffs):
         return False
     if base == XI_POLY:
         # base vanishes at xi itself, so the remainder must contribute
         return not rem.is_zero()
-    return _base_below_xi(base)
+    return compare(_root(base), xi()) < 0
 
 
 def _instances(which: int, max_index: int):
@@ -460,9 +445,8 @@ def _check_position(row: RowTemplate, pv: dict, stated: IntPolynomial) -> bool:
         # ties the sequence's growth to it
         return stated == XI_POLY
     if row.position == "below" and row.base is not None:
-        return _certified_below_xi(stated, row.base(pv), row.base_shift(pv))
-    root = largest_real_root(stated, _ROOT_EPS)
-    c = compare(root, xi())
+        return _certified_below_xi(stated, row.base(pv))
+    c = compare(_root(stated), xi())
     return c > 0 if row.position == "above" else c < 0
 
 
@@ -470,7 +454,7 @@ def _exact_growth_matches(s: SumSequence, stated: IntPolynomial) -> bool:
     growth = growth_rate_of_sequence(s)
     if not growth.poly.divides(stated):
         return False
-    return compare(largest_real_root(stated, _ROOT_EPS), growth) == 0
+    return compare(_root(stated), growth) == 0
 
 
 def verify_table(which: int, max_index: int = 6) -> dict:
@@ -523,8 +507,8 @@ def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
         return None
     rest = {n: vals[0] for n, vals in row.params[1:]}
     side = 1 if row.position == "above" else -1  # sign of root - limit
-    limit = largest_real_root(row.limit, _ROOT_EPS)
-    roots = [largest_real_root(row.poly({**rest, name: v}), _ROOT_EPS) for v in values]
+    limit = _root(row.limit)
+    roots = [_root(row.poly({**rest, name: v})) for v in values]
     for a, b in zip(roots, roots[1:]):
         if compare(a, b) != side:
             return "family roots do not move strictly toward the limit"

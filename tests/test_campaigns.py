@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from permgrowth.campaigns import run_campaign
 from permgrowth.classes import spec_from_strs
-from permgrowth.sequences import SumSequence
+from permgrowth.sequences import SumSequence, realize
 
 
 def test_unknown_campaign_raises():
@@ -97,6 +98,27 @@ def test_growth_rate_campaign_from_sequence():
     assert report.passed
     assert report.artifacts["growth"] == "2.305224"
     assert report.artifacts["position"] == "equal_xi"
+
+
+def test_eps_never_reaches_a_report():
+    # every verdict and digit is exact, so the isolation width of the
+    # printed roots changes nothing but the echoed parameter
+    witness = realize(SumSequence([1, 1, 2, 4, 3, 3, 2, 1])).spec
+    runs = (
+        ("growth-rate", {"seq": SumSequence.parse("1,1,2,3,(4)")}),
+        ("growth-rate", {"spec": witness}),
+        ("accumulation", {}),
+    )
+    for name, params in runs:
+        default = run_campaign(name, params)
+        for eps in (Fraction(1, 2), Fraction(1, 10**30)):
+            report = run_campaign(name, {**params, "eps": eps})
+            assert report.artifacts == default.artifacts
+            assert report.status == default.status
+            if name == "accumulation":
+                assert report.parameters == {"eps": str(eps)}
+            else:
+                assert report.parameters == default.parameters
 
 
 def test_growth_rate_campaign_rejects_ambiguity():

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permgrowth.algebraics import count_real_roots
+from permgrowth.algebraics import count_real_roots, largest_real_root, root_bound
 from permgrowth.classes import ClassSpec, census, member
 from permgrowth.insertion import decode, encode
 from permgrowth.perms import (
@@ -21,8 +21,19 @@ from permgrowth.perms import (
     standardize,
     sum_components,
 )
-from permgrowth.polynomials import IntPolynomial, irreducible_factors, poly_gcd
-from permgrowth.sequences import SumSequence, is_legal
+from permgrowth.polynomials import (
+    ONE,
+    IntPolynomial,
+    RationalFunction,
+    irreducible_factors,
+    poly_gcd,
+)
+from permgrowth.sequences import (
+    SumSequence,
+    class_gf_of_sequence,
+    gf_of_sequence,
+    is_legal,
+)
 
 
 def permutations(max_len=8):
@@ -207,6 +218,17 @@ def test_count_real_roots_matches_sympy(p, a, b):
     assert count_real_roots(p, lo, hi) == expected
 
 
+@given(int_polys.filter(lambda p: p.degree >= 1 and sympy.real_roots(_to_sympy(p))))
+@settings(deadline=None)
+def test_largest_real_root_is_isolated(p):
+    # the returned interval holds the greatest root and no other root of p
+    r = largest_real_root(p)
+    assert count_real_roots(p, r.lo, r.hi) == 1
+    assert count_real_roots(p, r.hi, root_bound(p)) == 0
+    top = max(sympy.real_roots(_to_sympy(p)))
+    assert sympy.Rational(r.lo) < top <= sympy.Rational(r.hi)
+
+
 def _sympy_factors(p):
     _, factors = _to_sympy(p).factor_list()
     out = [_from_sympy(P).primitive() for P, _ in factors if P.degree() >= 1]
@@ -266,3 +288,19 @@ def test_irreducible_factors_fixed_cases():
     assert irreducible_factors(IntPolynomial([])) == []
     assert irreducible_factors(IntPolynomial([-7])) == []
     assert irreducible_factors(IntPolynomial([4, -6])) == [IntPolynomial([-2, 3])]
+
+
+# legal sequences: s1 = s2 = 1, then counts that keep to the initial caps and
+# the taper rules, with or without a nonzero periodic tail
+legal_sequences = st.builds(
+    lambda prefix, tail: SumSequence([1, 1] + prefix, tail),
+    st.lists(st.integers(1, 5), max_size=8),
+    st.lists(st.integers(1, 3), max_size=3),
+).filter(is_legal)
+
+
+@given(legal_sequences)
+@settings(deadline=None)
+def test_class_gf_of_sequence_matches_one_over_one_minus_g(s):
+    one = RationalFunction.from_poly(ONE)
+    assert class_gf_of_sequence(s) == one / (one - gf_of_sequence(s))
