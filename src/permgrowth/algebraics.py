@@ -91,12 +91,23 @@ class AlgebraicNumber:
     __slots__ = ("poly", "lo", "hi", "_chain")
 
     def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
-        poly = square_free_part(poly)
-        object.__setattr__(self, "poly", poly)
+        sf = square_free_part(poly)
+        self._set(sf, sturm_sequence(sf), lo, hi)
+
+    @classmethod
+    def _from_chain(cls, sf: IntPolynomial, chain, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
+        """The root of the square-free ``sf`` in (lo, hi], reusing ``chain``,
+        the Sturm chain of ``sf``, instead of building it again."""
+        a = object.__new__(cls)
+        a._set(sf, chain, lo, hi)
+        return a
+
+    def _set(self, sf: IntPolynomial, chain, lo: Fraction, hi: Fraction) -> None:
+        object.__setattr__(self, "poly", sf)
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
-        object.__setattr__(self, "_chain", sturm_sequence(poly))
-        if _roots_between(self._chain, self.lo, self.hi) != 1:
+        object.__setattr__(self, "_chain", chain)
+        if _roots_between(chain, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
     def __setattr__(self, name, value):
@@ -224,7 +235,7 @@ def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    return AlgebraicNumber(sf, lo, hi)
+    return AlgebraicNumber._from_chain(sf, chain, lo, hi)
 
 
 def growth_polynomial(f: RationalFunction) -> IntPolynomial:

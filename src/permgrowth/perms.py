@@ -11,6 +11,16 @@ The enumeration loops of the package run on plain entry tuples rather than
 on :class:`Permutation` objects; the tuple helpers (``is_si_entries``,
 ``delete_entry``, ``si_children_entries``, ``next_level`` and
 ``next_si_level``) are the single implementation behind both.
+
+The two level steps grow a set of tuples by one length.  ``next_level``
+(censuses and basis search) works by active sites: for each member it
+looks up its deletions among the members with their maximum removed, and
+one bitmask AND over those lookups says at which positions a new maximum
+gives a candidate whose children all lie in the level, so it builds a
+tuple only for a candidate it keeps.  ``next_si_level`` (the
+reconstruction and taper checks) inserts an entry into each sum
+indecomposable member in every way but the two that make a sum, and maps
+each new tuple to the tuple of its children in the level.
 """
 
 from __future__ import annotations
@@ -156,37 +166,75 @@ def si_children_entries(t: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """Every entry tuple one longer than the members of ``level`` whose
-    children all lie in ``level``, each exactly once.
+    children all lie in ``level``, each exactly once.  ``level`` must hold
+    tuples of a single length; it need not be closed under deletion.
 
     This is the generating tree of permutations: each candidate arises from
-    exactly one member, the one left by removing its maximum, by inserting
-    the new maximum at some position.  ``level`` must hold tuples of a
-    single length.
+    exactly one member p, the one left by removing its maximum, by inserting
+    the new maximum at some position.  The step works by active sites.  A
+    first pass records, for each q, the bitmask ``sites[q]`` of the
+    positions of the maximum over the members that are q with a maximum
+    inserted.  Deleting the entry p[j] from the candidate with the new
+    maximum at ``pos`` leaves the j-th deletion of p with the maximum at
+    pos - 1 (if j < pos) or at pos (otherwise), so that child is a member
+    iff ``sites`` of the j-th deletion of p has that bit.  One AND over the
+    m deletions of a member of length m decides all m + 1 positions, and a
+    tuple is built only for a candidate that is yielded.
+
+    >>> sorted(next_level({(1, 2), (2, 1)}))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    >>> sorted(next_level({(1, 2)}))
+    [(1, 2, 3)]
     """
+    sites: dict[tuple[int, ...], int] = {}
+    for p in level:
+        if p:
+            i = p.index(len(p))
+            q = p[:i] + p[i + 1:]
+            sites[q] = sites.get(q, 0) | 1 << i
+    get = sites.get
     for p in level:
         top = len(p) + 1
-        for pos in range(top):
-            c = p[:pos] + (top,) + p[pos:]
-            if all(delete_entry(c, i) in level for i in range(top) if i != pos):
-                yield c
+        good = (1 << top) - 1  # bit pos: the new maximum may go at pos
+        for j, v in enumerate(p):
+            # delete_entry inlined for speed
+            mask = get(tuple(x - 1 if x > v else x for x in p[:j] + p[j + 1:]), 0)
+            low = (2 << j) - 1  # positions pos <= j
+            # pos <= j needs bit pos of mask, pos > j needs bit pos - 1
+            good &= (mask & low) | (mask << 1 & ~low)
+            if not good:
+                break
+        pos = 0
+        while good:
+            if good & 1:
+                yield p[:pos] + (top,) + p[pos:]
+            good >>= 1
+            pos += 1
 
 
-def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
+def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Every sum indecomposable entry tuple one longer than the members of
-    ``level`` that has a child in ``level``, mapped to the set of those
-    children.
+    ``level`` that has a child in ``level``, mapped to the tuple of those
+    children.  ``level`` must hold sum indecomposable tuples of a single
+    length.
 
     This works from the insertion side: each single-entry insertion into a
-    member is a candidate, and the member is one of its children.  Every sum
-    indecomposable permutation of length n >= 2 has a sum indecomposable
-    child (its inversion graph is connected, so some vertex can go without
-    disconnecting it).  So when ``level`` holds every sum indecomposable
-    tuple of its length, the keys are every such tuple one longer and each
-    value is its set K of sum indecomposable children.  ``level`` must hold
-    tuples of a single length.
+    member is a candidate, and the member is one of its children.  Deleting
+    one entry of a sum a + b leaves a sum unless the entry is all of a or
+    all of b, so the only decomposable insertions into a sum indecomposable
+    p are 1 + p (value 1 at the front) and p + 1 (the new maximum at the
+    end); the step skips those two.  Every sum indecomposable permutation
+    of length n >= 2 has a sum indecomposable child (its inversion graph is
+    connected, so some vertex can go without disconnecting it).  So when
+    ``level`` holds every sum indecomposable tuple of its length, the keys
+    are every such tuple one longer and each value is its set K of sum
+    indecomposable children.
+
+    Each value lists its children in the iteration order of ``level``, so
+    within one call equal child sets give equal tuples.
 
     >>> sorted(next_si_level({(1,)}).items())
-    [((2, 1), frozenset({(1,)}))]
+    [((2, 1), ((1,),))]
     """
     found = {}
     get = found.get
@@ -194,18 +242,17 @@ def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], frozense
         top = len(p) + 1
         for val in range(1, top + 1):
             shifted = tuple(x + 1 if x >= val else x for x in p)
-            for pos in range(top):
+            # skip 1 + p (val 1 at pos 0) and p + 1 (val top at pos top - 1)
+            for pos in range(val == 1, top - (val == top)):
                 c = shifted[:pos] + (val,) + shifted[pos:]
                 kids = get(c)
                 if kids is None:
                     found[c] = [p]
                 elif kids[-1] is not p:  # else a repeat of c from this p
                     kids.append(p)
-    # in place, so that each list is freed as its set is made
+    # in place, so that each list is freed as its tuple is made
     for c, kids in found.items():
-        found[c] = frozenset(kids)
-    for c in [c for c in found if not is_si_entries(c)]:
-        del found[c]
+        found[c] = tuple(kids)
     return found
 
 

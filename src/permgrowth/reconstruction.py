@@ -27,7 +27,8 @@ from .perms import (
 # longest length verify_reconstruction accepts: it builds the sum
 # indecomposable permutations of each length up to n from the insertion
 # side, and those of length n with their K-sets (n = 9 is 273 343 of them,
-# about 8 s and 320 MB; n = 10 is ten times as many)
+# 2.9 s and a 131 MB peak in one Python 3.11 process on a 2-core virtual
+# machine; n = 10 is ten times as many)
 RECON_BOUND = 10
 
 
@@ -155,7 +156,8 @@ def verify_reconstruction(n: int) -> Report:
     for _ in range(n - 2):
         level = set(next_si_level(level))
     ksets = next_si_level(level)
-    by_kset: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
+    # within one next_si_level call, equal K-sets are equal tuples
+    by_kset: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
     for c, kids in ksets.items():
         by_kset.setdefault(kids, []).append(c)
     failures = []

@@ -1,11 +1,11 @@
 """Randomized invariants over permutations, sequences, and class specs."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations as all_tuples
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgrowth.algebraics import count_real_roots, largest_real_root, root_bound
@@ -18,6 +18,8 @@ from permgrowth.perms import (
     inflate,
     is_sum_indecomposable,
     monotone_quotient,
+    next_level,
+    next_si_level,
     standardize,
     sum_components,
 )
@@ -168,6 +170,60 @@ def test_containment_antisymmetry_spot():
     q = Permutation((2, 4, 1, 5, 3))
     assert contains(p, q)
     assert not contains(q, p)
+
+
+def _drop(t, i):
+    """The pattern of t without entry i."""
+    return tuple(x - (x > t[i]) for k, x in enumerate(t) if k != i)
+
+
+def _si(t):
+    return bool(t) and all(max(t[:k]) > k for k in range(1, len(t)))
+
+
+# a random subset of S_n for n in 0..6, of any density, so not closed
+# under deletion; filtered to its sum indecomposable members when si
+def _sublevels(si=False):
+    def draw(n, density, rng):
+        return {t for t in all_tuples(range(1, n + 1)) if (not si or _si(t)) and rng.random() < density}
+
+    return st.builds(draw, st.integers(1 if si else 0, 6), st.sampled_from([0.2, 0.6, 0.9, 1.0]),
+                     st.randoms(use_true_random=False))
+
+
+@given(_sublevels())
+@example({()})
+@example(set())
+@settings(max_examples=60, deadline=None)
+def test_next_level_matches_brute_force(level):
+    # every tuple one longer, from a new maximum inserted into a member,
+    # whose other children all lie in the level, listed once
+    brute = set()
+    for p in level:
+        top = len(p) + 1
+        for pos in range(top):
+            c = p[:pos] + (top,) + p[pos:]
+            if all(_drop(c, i) in level for i in range(top)):
+                brute.add(c)
+    assert sorted(next_level(level)) == sorted(brute)
+
+
+@given(_sublevels(si=True))
+@settings(max_examples=60, deadline=None)
+def test_next_si_level_groups_by_child_set(level):
+    step = next_si_level(level)
+    n = len(next(iter(level), ()))
+    child_sets = {}
+    for c in all_tuples(range(1, n + 2)):
+        kids = frozenset(_drop(c, i) for i in range(n + 1)) & level
+        if _si(c) and kids:
+            child_sets[c] = kids
+    assert set(step) == set(child_sets)
+    for c, kids in step.items():
+        assert set(kids) == child_sets[c] and len(kids) == len(set(kids))
+    # equal value tuples exactly when the child sets are equal
+    pairs = {(kids, child_sets[c]) for c, kids in step.items()}
+    assert len(pairs) == len({kids for kids, _ in pairs}) == len({ks for _, ks in pairs})
 
 
 # random integer polynomials of degree <= 8, coefficients in -20..20; the
