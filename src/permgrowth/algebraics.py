@@ -211,9 +211,11 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         b.refine(width / 4)
 
 
+@lru_cache(maxsize=4096)
 def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
     """The greatest real root of ``p``, isolated: the only real root of the
-    square-free part of ``p`` in the returned (lo, hi].
+    square-free part of ``p`` in the returned (lo, hi].  The root of each
+    polynomial is isolated once and shared, refinements included.
 
     >>> largest_real_root(XI_POLY).approx(6)
     '2.305224'
@@ -270,12 +272,10 @@ KAPPA_POLY = IntPolynomial([-1, 0, -2, 1])  # x^3 - 2x^2 - 1
 XI_POLY = IntPolynomial([-1, -1, -1, 0, -2, 1])  # x^5 - 2x^4 - x^2 - x - 1
 
 
-@lru_cache(maxsize=None)
 def kappa() -> AlgebraicNumber:
     return largest_real_root(KAPPA_POLY)
 
 
-@lru_cache(maxsize=None)
 def xi() -> AlgebraicNumber:
     return largest_real_root(XI_POLY)
 

@@ -9,23 +9,24 @@ denotes the empty permutation.
 
 The enumeration loops of the package run on plain entry tuples rather than
 on :class:`Permutation` objects; the tuple helpers (``is_si_entries``,
-``delete_entry``, ``si_children_entries``, ``next_level`` and
+``delete_entry``, ``si_children_within``, ``next_level`` and
 ``next_si_level``) are the single implementation behind both.
 
 The two level steps grow a set of tuples by one length.  ``next_level``
-(censuses and basis search) works by active sites: for each member it
-looks up its deletions among the members with their maximum removed, and
-one bitmask AND over those lookups says at which positions a new maximum
-gives a candidate whose children all lie in the level, so it builds a
-tuple only for a candidate it keeps.  ``next_si_level`` (the
-reconstruction and taper checks) inserts an entry into each sum
-indecomposable member in every way but the two that make a sum, and maps
-each new tuple to the tuple of its children in the level.
+(the census of any class) works by active sites: one bitmask AND over a
+member's deletions says at which positions a new maximum gives a candidate
+whose children all lie in the level.  ``next_si_level`` (every walk over
+the sum indecomposable members of a sum closed set: basis search,
+reconstruction, K^(m)) inserts an entry into each member in every way but
+the two that make a sum, and maps each new tuple to its children in the
+level; the basis search and K^(m) keep the candidates that pass
+``si_children_within``.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -153,15 +154,19 @@ def delete_entry(t: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(x - 1 if x > v else x for x in t[:index] + t[index + 1:])
 
 
-def si_children_entries(t: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The distinct sum indecomposable single-entry deletions of ``t``."""
-    out = set()
+def si_children_within(t: tuple[int, ...], level: set[tuple[int, ...]]) -> bool:
+    """True iff every sum indecomposable child of ``t`` lies in ``level``;
+    the scan stops at the first that does not, where most candidates fail.
+
+    >>> si_children_within((2, 3, 1), {(2, 1)}), si_children_within((2, 4, 1, 3), {(2, 3, 1)})
+    (True, False)
+    """
     for i, v in enumerate(t):
         # delete_entry inlined for speed
         c = tuple(x - 1 if x > v else x for x in t[:i] + t[i + 1:])
-        if is_si_entries(c):
-            out.add(c)
-    return out
+        if c not in level and is_si_entries(c):
+            return False
+    return True
 
 
 def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -259,7 +264,9 @@ def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[tu
 def contains(pattern: Permutation, text: Permutation) -> bool:
     """True iff some subsequence of ``text`` is order isomorphic to ``pattern``.
 
-    A backtracking embedding search on the entry tuples.
+    A backtracking embedding search on the entry tuples.  The entries placed
+    so far are in pattern order, so the next one only has to fall between
+    the text values of its two nearest pattern values among them.
 
     >>> contains(parse_permutation("2 1 3"), parse_permutation("2 3 1 4"))
     True
@@ -267,39 +274,39 @@ def contains(pattern: Permutation, text: Permutation) -> bool:
     False
     """
     pat = pattern.entries
-    seq = text.entries
+    seq = (0,) + text.entries + (len(text) + 1,)
     k = len(pat)
-    n = len(seq)
-    if k == 0:
-        return True
+    n = len(seq) - 2
     if k > n:
         return False
-    choice = [0] * k
+    # choice[j + 1]: text index of entry j, sentinels at the ends; below[i],
+    # above[i]: slots of the nearest smaller and larger earlier pattern value
+    choice = [0] * (k + 1) + [n + 1]
+    slot = [0] * (k + 1) + [k + 1]  # by pattern value, 0 and k + 1 the sentinels
+    seen = [0, k + 1]  # the values of the entries before i, sorted
+    below, above = [0] * k, [0] * k
+    for i, v in enumerate(pat):
+        r = bisect_left(seen, v)
+        below[i], above[i] = slot[seen[r - 1]], slot[seen[r]]
+        seen.insert(r, v)
+        slot[v] = i + 1
     i = 0
-    pos = 0
-    while True:
-        # leftmost-feasible scan; there must be room for the k-i-1 later entries
-        last = n - k + i
-        pi = pat[i]
-        while pos <= last:
-            v = seq[pos]
-            for j in range(i):
-                if (pat[j] < pi) != (seq[choice[j]] < v):
-                    break
-            else:  # every placed entry agrees: place entry i here
-                break
+    pos = 1
+    while i < k:
+        last = n - k + i + 1
+        lo, hi = seq[choice[below[i]]], seq[choice[above[i]]]
+        while pos <= last and not lo < seq[pos] < hi:
             pos += 1
         if pos <= last:
-            if i == k - 1:
-                return True
-            choice[i] = pos
+            choice[i + 1] = pos
             i += 1
             pos += 1
+        elif i == 0:
+            return False
         else:
-            if i == 0:
-                return False
             i -= 1
-            pos = choice[i] + 1
+            pos = choice[i + 1] + 1
+    return True
 
 
 def is_sum_indecomposable(p: Permutation) -> bool:
@@ -347,10 +354,9 @@ def children(p: Permutation, indecomposable_only: bool = False) -> frozenset[Per
     if len(p) == 0:
         raise ValueError("the empty permutation has no children")
     t = p.entries
+    kids = {delete_entry(t, i) for i in range(len(t))}
     if indecomposable_only:
-        kids = si_children_entries(t)
-    else:
-        kids = {delete_entry(t, i) for i in range(len(t))}
+        kids = filter(is_si_entries, kids)
     return frozenset(map(Permutation._trusted, kids))
 
 

@@ -16,11 +16,10 @@ from .perms import (
     Permutation,
     all_permutations,
     children,
-    delete_entry,
     inversion_graph,
-    is_si_entries,
     is_sum_indecomposable,
     next_si_level,
+    si_children_within,
     skew_sum,
 )
 
@@ -184,17 +183,12 @@ def k_bounded_members(n: int, m: int) -> list[Permutation]:
     member of length n arises by inserting one entry into a member of length
     n - 1.  ``perms.next_si_level`` makes those insertions and collects each
     candidate's children among the members; a candidate is kept when there
-    are at most m and no sum indecomposable child lies outside them.
+    are at most m and ``perms.si_children_within`` finds no sum
+    indecomposable child outside them.
     """
     level: set[tuple[int, ...]] = {(1,)} if n > 0 else set()
     for _ in range(n - 1):
-        # most candidates fail, so stop at the first child outside the level
-        level = {
-            c
-            for c, kids in next_si_level(level).items()
-            if len(kids) <= m
-            and all(d in kids or not is_si_entries(d) for d in (delete_entry(c, i) for i in range(len(c))))
-        }
+        level = {c for c, kids in next_si_level(level).items() if len(kids) <= m and si_children_within(c, level)}
     return sorted(Permutation._trusted(t) for t in level)
 
 
@@ -237,7 +231,7 @@ def verify_taper(n: int, m: int) -> Report:
     # either one member has exactly m-1 children (the union is pinned to
     # that K-set) or every member has at most m-2 children
     for M, g in groups.items():
-        if bin(M).count("1") != limit:
+        if M.bit_count() != limit:
             continue
         cand = members_within(M)
         if len(cand) < m:
@@ -247,7 +241,7 @@ def verify_taper(n: int, m: int) -> Report:
             if any(p in gset for p in combo):
                 failures.add(combo)
 
-    small = [p for p in pool if bin(masks[p]).count("1") <= limit - 1]
+    small = [p for p in pool if masks[p].bit_count() <= limit - 1]
     by_bit: dict[int, list[Permutation]] = {}
     for p in small:
         M = masks[p]
@@ -261,10 +255,10 @@ def verify_taper(n: int, m: int) -> Report:
     removal: dict[tuple[int, int], set[Permutation]] = {}
     for p in small:
         M = masks[p]
-        total = bin(M).count("1")
+        total = M.bit_count()
         S = M
         while True:
-            removal.setdefault((S, total - bin(S).count("1")), set()).add(p)
+            removal.setdefault((S, total - S.bit_count()), set()).add(p)
             if S == 0:
                 break
             S = (S - 1) & M
@@ -272,7 +266,7 @@ def verify_taper(n: int, m: int) -> Report:
     def complete(base: list[Permutation], union: int) -> None:
         # all ways to extend base by m - len(base) members of small while
         # the union stays within the limit
-        free = limit - bin(union).count("1")
+        free = limit - union.bit_count()
         cand: set[Permutation] = set()
         S = union
         while True:
@@ -291,7 +285,7 @@ def verify_taper(n: int, m: int) -> Report:
             for idx in range(start, len(order)):
                 p = order[idx]
                 u2 = u | masks[p]
-                if bin(u2).count("1") > limit:
+                if u2.bit_count() > limit:
                     continue
                 extend(idx + 1, chosen + [p], u2, need - 1)
 
@@ -305,7 +299,7 @@ def verify_taper(n: int, m: int) -> Report:
             for i, p in enumerate(plist):
                 for q in plist[i + 1:]:
                     union = masks[p] | masks[q]
-                    if bin(union).count("1") <= limit:
+                    if union.bit_count() <= limit:
                         complete([p, q], union)
 
     checked = len(pool)

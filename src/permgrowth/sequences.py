@@ -23,7 +23,6 @@ from .perms import (
     increasing_oscillation,
     skew_sum,
     split_end_member,
-    sum_components,
     tail_member,
 )
 from .polynomials import ONE, IntPolynomial, RationalFunction
@@ -333,19 +332,18 @@ def _selection_oracle(
     chains: list[Callable[[int], Permutation]],
     chain_min: int,
 ) -> Callable[[Permutation], bool]:
+    """Membership of a sum indecomposable permutation (or the empty one) in
+    the sum closure of the selected levels and the active chains."""
     flat = [q for level in levels.values() for q in level]
 
-    def in_selection(r: Permutation) -> bool:
-        if any(contains(r, q) for q in flat):
+    def oracle(p: Permutation) -> bool:
+        if any(contains(p, q) for q in flat):
             return True
         for chain in chains:
-            n = max(chain_min, 2 * len(r) + 6)
-            if contains(r, chain(n)):
+            n = max(chain_min, 2 * len(p) + 6)
+            if contains(p, chain(n)):
                 return True
         return False
-
-    def oracle(p: Permutation) -> bool:
-        return all(in_selection(r) for r in sum_components(p))
 
     return oracle
 

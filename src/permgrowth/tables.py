@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebraics import (
     KAPPA_POLY,
     XI_POLY,
-    AlgebraicNumber,
     compare,
     largest_real_root,
     xi,
@@ -380,13 +378,6 @@ def _float_largest_root(p: IntPolynomial) -> float:
     return float(max(reals))
 
 
-@lru_cache(maxsize=None)
-def _root(p: IntPolynomial) -> AlgebraicNumber:
-    """The greatest real root of ``p``, isolated once per polynomial; that
-    of ``XI_POLY`` is ``xi()`` itself."""
-    return xi() if p == XI_POLY else largest_real_root(p)
-
-
 def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
     """True when stated = x^a * base + R, a = deg stated - deg base, with
     R >= 0 coefficientwise and base has no real root above xi; then stated
@@ -397,7 +388,7 @@ def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
     if base == XI_POLY:
         # base vanishes at xi itself, so the remainder must contribute
         return not rem.is_zero()
-    return compare(_root(base), xi()) < 0
+    return compare(largest_real_root(base), xi()) < 0
 
 
 def _instances(which: int, max_index: int):
@@ -446,7 +437,7 @@ def _check_position(row: RowTemplate, pv: dict, stated: IntPolynomial) -> bool:
         return stated == XI_POLY
     if row.position == "below" and row.base is not None:
         return _certified_below_xi(stated, row.base(pv))
-    c = compare(_root(stated), xi())
+    c = compare(largest_real_root(stated), xi())
     return c > 0 if row.position == "above" else c < 0
 
 
@@ -454,7 +445,7 @@ def _exact_growth_matches(s: SumSequence, stated: IntPolynomial) -> bool:
     growth = growth_rate_of_sequence(s)
     if not growth.poly.divides(stated):
         return False
-    return compare(_root(stated), growth) == 0
+    return compare(largest_real_root(stated), growth) == 0
 
 
 def verify_table(which: int, max_index: int = 6) -> dict:
@@ -507,8 +498,8 @@ def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
         return None
     rest = {n: vals[0] for n, vals in row.params[1:]}
     side = 1 if row.position == "above" else -1  # sign of root - limit
-    limit = _root(row.limit)
-    roots = [_root(row.poly({**rest, name: v})) for v in values]
+    limit = largest_real_root(row.limit)
+    roots = [largest_real_root(row.poly({**rest, name: v})) for v in values]
     for a, b in zip(roots, roots[1:]):
         if compare(a, b) != side:
             return "family roots do not move strictly toward the limit"

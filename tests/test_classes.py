@@ -70,8 +70,9 @@ def test_si_sequence_helper():
 
 
 def test_compute_basis_round_trip():
+    # sum closed classes; the last basis element has the bound's length
     for strs in (
-        ("3 2 1", "2 1 4 3"),
+        ("3 1 2", "4 3 2 1", "2 3 4 5 6 7 1"),
         ("2 3 1", "4 3 1 2", "4 3 2 1"),
         ("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5"),
     ):
@@ -88,6 +89,12 @@ def test_compute_basis_degenerate_oracles():
     assert [str(b) for b in got] == ["1"]
     # accepting everything yields no basis elements up to the bound
     assert compute_basis(lambda p: True, 4) == set()
+
+
+def test_compute_basis_catches_an_oracle_that_is_not_downward_closed():
+    # rejects only length 3: its one-point extensions must be rejected too
+    with pytest.raises(ValueError, match="downward closure at 2 3 4 1"):
+        compute_basis(lambda p: len(p) != 3, 6)
 
 
 def test_extended_specs():

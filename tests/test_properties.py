@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgrowth.algebraics import count_real_roots, largest_real_root, root_bound
-from permgrowth.classes import ClassSpec, census, member
+from permgrowth.classes import ClassSpec, census, compute_basis, member
 from permgrowth.insertion import decode, encode
 from permgrowth.perms import (
     Permutation,
@@ -224,6 +224,16 @@ def test_next_si_level_groups_by_child_set(level):
     # equal value tuples exactly when the child sets are equal
     pairs = {(kids, child_sets[c]) for c, kids in step.items()}
     assert len(pairs) == len({kids for kids, _ in pairs}) == len({ks for _, ks in pairs})
+
+
+# a random sum closed class: its basis is 1 to 4 sum indecomposable
+# permutations of length 3 to 5
+@given(st.lists(st.integers(3, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple).filter(_si),
+                min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_compute_basis_recovers_random_sum_closed_classes(basis):
+    spec = ClassSpec(map(Permutation, basis))
+    assert compute_basis(lambda p: member(spec, p), 6) == spec.basis
 
 
 # random integer polynomials of degree <= 8, coefficients in -20..20; the

@@ -4,6 +4,7 @@ import pytest
 
 from permgrowth.algebraics import AlgebraicNumber, compare, xi
 from permgrowth.classes import census
+from permgrowth.insertion import class_gf, si_gf
 from permgrowth.sequences import (
     SumSequence,
     class_gf_of_sequence,
@@ -133,6 +134,16 @@ def test_realize_census_reproduces_sequence(text, check_to):
     s = S(text)
     r = realize(s)
     assert census(r.spec, check_to).si_sequence() == s.terms(check_to)
+
+
+@pytest.mark.parametrize("i,size,longest", [(0, 11, 8), (2, 10, 10), (4, 11, 12), (6, 12, 14)])
+def test_realize_table2_family_exactly(i, size, longest):
+    # the table-2 family 1,1,2,3,4^i,5,4,2, whose growth rates fall to xi;
+    # the g.f. identity checks the class at every length, not up to a census
+    s = SumSequence([1, 1, 2, 3] + [4] * i + [5, 4, 2])
+    spec = realize(s).spec
+    assert si_gf(class_gf(spec)) == gf_of_sequence(s)
+    assert (len(spec.basis), max(map(len, spec.basis))) == (size, longest)
 
 
 @pytest.mark.slow
