@@ -211,7 +211,7 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         b.refine(width / 4)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
     """The greatest real root of ``p``, isolated: the only real root of the
     square-free part of ``p`` in the returned (lo, hi].  The root of each

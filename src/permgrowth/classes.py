@@ -165,13 +165,18 @@ def compute_basis(
     for n in range(2, max_len + 1):
         nxt = set()
         for c in next_si_level(level):
-            if si_children_within(c, level):
-                (nxt if oracle(Permutation._trusted(c)) else basis).add(c)
+            if not si_children_within(c, level):
+                continue
+            if oracle(Permutation._trusted(c)):
+                nxt.add(c)
+            else:
+                basis.add(c)
         level = nxt
     for b in sorted(b for b in basis if len(b) < max_len):
         for c in sorted(next_si_level({b})):
-            if oracle(Permutation._trusted(c)):
-                raise ValueError("oracle violates downward closure at %s" % Permutation._trusted(c))
+            p = Permutation._trusted(c)
+            if oracle(p):
+                raise ValueError("oracle violates downward closure at %s" % p)
     return set(map(Permutation._trusted, basis))
 
 

@@ -26,7 +26,6 @@ level; the basis search and K^(m) keep the candidates that pass
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -158,8 +157,10 @@ def si_children_within(t: tuple[int, ...], level: set[tuple[int, ...]]) -> bool:
     """True iff every sum indecomposable child of ``t`` lies in ``level``;
     the scan stops at the first that does not, where most candidates fail.
 
-    >>> si_children_within((2, 3, 1), {(2, 1)}), si_children_within((2, 4, 1, 3), {(2, 3, 1)})
-    (True, False)
+    >>> si_children_within((2, 3, 1), {(2, 1)})
+    True
+    >>> si_children_within((2, 4, 1, 3), {(2, 3, 1)})
+    False
     """
     for i, v in enumerate(t):
         # delete_entry inlined for speed
@@ -264,9 +265,7 @@ def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[tu
 def contains(pattern: Permutation, text: Permutation) -> bool:
     """True iff some subsequence of ``text`` is order isomorphic to ``pattern``.
 
-    A backtracking embedding search on the entry tuples.  The entries placed
-    so far are in pattern order, so the next one only has to fall between
-    the text values of its two nearest pattern values among them.
+    A backtracking embedding search on the entry tuples.
 
     >>> contains(parse_permutation("2 1 3"), parse_permutation("2 3 1 4"))
     True
@@ -274,39 +273,39 @@ def contains(pattern: Permutation, text: Permutation) -> bool:
     False
     """
     pat = pattern.entries
-    seq = (0,) + text.entries + (len(text) + 1,)
+    seq = text.entries
     k = len(pat)
-    n = len(seq) - 2
+    n = len(seq)
+    if k == 0:
+        return True
     if k > n:
         return False
-    # choice[j + 1]: text index of entry j, sentinels at the ends; below[i],
-    # above[i]: slots of the nearest smaller and larger earlier pattern value
-    choice = [0] * (k + 1) + [n + 1]
-    slot = [0] * (k + 1) + [k + 1]  # by pattern value, 0 and k + 1 the sentinels
-    seen = [0, k + 1]  # the values of the entries before i, sorted
-    below, above = [0] * k, [0] * k
-    for i, v in enumerate(pat):
-        r = bisect_left(seen, v)
-        below[i], above[i] = slot[seen[r - 1]], slot[seen[r]]
-        seen.insert(r, v)
-        slot[v] = i + 1
+    choice = [0] * k
     i = 0
-    pos = 1
-    while i < k:
-        last = n - k + i + 1
-        lo, hi = seq[choice[below[i]]], seq[choice[above[i]]]
-        while pos <= last and not lo < seq[pos] < hi:
+    pos = 0
+    while True:
+        # leftmost-feasible scan; there must be room for the k-i-1 later entries
+        last = n - k + i
+        pi = pat[i]
+        while pos <= last:
+            v = seq[pos]
+            for j in range(i):
+                if (pat[j] < pi) != (seq[choice[j]] < v):
+                    break
+            else:  # every placed entry agrees: place entry i here
+                break
             pos += 1
         if pos <= last:
-            choice[i + 1] = pos
+            if i == k - 1:
+                return True
+            choice[i] = pos
             i += 1
             pos += 1
-        elif i == 0:
-            return False
         else:
+            if i == 0:
+                return False
             i -= 1
-            pos = choice[i + 1] + 1
-    return True
+            pos = choice[i] + 1
 
 
 def is_sum_indecomposable(p: Permutation) -> bool:

@@ -188,7 +188,11 @@ def k_bounded_members(n: int, m: int) -> list[Permutation]:
     """
     level: set[tuple[int, ...]] = {(1,)} if n > 0 else set()
     for _ in range(n - 1):
-        level = {c for c, kids in next_si_level(level).items() if len(kids) <= m and si_children_within(c, level)}
+        level = {
+            c
+            for c, kids in next_si_level(level).items()
+            if len(kids) <= m and si_children_within(c, level)
+        }
     return sorted(Permutation._trusted(t) for t in level)
 
 

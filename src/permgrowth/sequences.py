@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebraics import AlgebraicNumber, compare, largest_real_root, growth_polynomial, xi
 from .classes import ClassSpec, compute_basis, spec_from_strs
 from .perms import (
     Permutation,
-    contains,
+    children,
     direct_sum,
     head_member,
     increasing_oscillation,
@@ -336,14 +337,24 @@ def _selection_oracle(
     the sum closure of the selected levels and the active chains."""
     flat = [q for level in levels.values() for q in level]
 
+    @lru_cache(maxsize=None)
+    def members(k: int) -> frozenset[Permutation]:
+        # the SI patterns of length k of the selections and of each chain at
+        # length n.  All of these are SI, and SI children alone reach every
+        # SI pattern of one: a connected inversion graph stays connected
+        # without some vertex outside a given connected induced part (a leaf
+        # of a spanning tree that extends one of the part)
+        n = max(chain_min, 2 * k + 6)
+        found: set[Permutation] = set()
+        for top in [q for q in flat if len(q) >= k] + [chain(n) for chain in chains]:
+            level = {top}
+            for _ in range(len(top) - k):
+                level = {c for q in level for c in children(q, indecomposable_only=True)}
+            found |= level
+        return frozenset(found)
+
     def oracle(p: Permutation) -> bool:
-        if any(contains(p, q) for q in flat):
-            return True
-        for chain in chains:
-            n = max(chain_min, 2 * len(p) + 6)
-            if contains(p, chain(n)):
-                return True
-        return False
+        return len(p) == 0 or p in members(len(p))
 
     return oracle
 

@@ -6,7 +6,9 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("name", ["perms", "classes", "polynomials", "algebraics", "sequences", "insertion"])
+@pytest.mark.parametrize(
+    "name", ["perms", "classes", "polynomials", "algebraics", "sequences", "insertion"]
+)
 def test_docstring_examples(name):
     module = importlib.import_module("permgrowth." + name)
     result = doctest.testmod(module)

@@ -228,8 +228,15 @@ def test_next_si_level_groups_by_child_set(level):
 
 # a random sum closed class: its basis is 1 to 4 sum indecomposable
 # permutations of length 3 to 5
-@given(st.lists(st.integers(3, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple).filter(_si),
-                min_size=1, max_size=4))
+si_basis_elements = (
+    st.integers(3, 5)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(tuple)
+    .filter(_si)
+)
+
+
+@given(st.lists(si_basis_elements, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_compute_basis_recovers_random_sum_closed_classes(basis):
     spec = ClassSpec(map(Permutation, basis))

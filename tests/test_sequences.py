@@ -5,7 +5,17 @@ import pytest
 from permgrowth.algebraics import AlgebraicNumber, compare, xi
 from permgrowth.classes import census
 from permgrowth.insertion import class_gf, si_gf
+from permgrowth.perms import (
+    all_permutations,
+    contains,
+    head_member,
+    increasing_oscillation,
+    is_sum_indecomposable,
+    tail_member,
+)
 from permgrowth.sequences import (
+    _WIDE_CHAINS,
+    _selection_oracle,
     SumSequence,
     class_gf_of_sequence,
     classify,
@@ -13,8 +23,10 @@ from permgrowth.sequences import (
     gf_of_sequence,
     growth_rate_of_sequence,
     is_legal,
+    narrow_level,
     position_vs_xi,
     realize,
+    wide_level,
 )
 from fractions import Fraction
 
@@ -136,7 +148,9 @@ def test_realize_census_reproduces_sequence(text, check_to):
     assert census(r.spec, check_to).si_sequence() == s.terms(check_to)
 
 
-@pytest.mark.parametrize("i,size,longest", [(0, 11, 8), (2, 10, 10), (4, 11, 12), (6, 12, 14)])
+@pytest.mark.parametrize(
+    "i,size,longest", [(0, 11, 8), (2, 10, 10), (4, 11, 12), (6, 12, 14)]
+)
 def test_realize_table2_family_exactly(i, size, longest):
     # the table-2 family 1,1,2,3,4^i,5,4,2, whose growth rates fall to xi;
     # the g.f. identity checks the class at every length, not up to a census
@@ -144,6 +158,31 @@ def test_realize_table2_family_exactly(i, size, longest):
     spec = realize(s).spec
     assert si_gf(class_gf(spec)) == gf_of_sequence(s)
     assert (len(spec.basis), max(map(len, spec.basis))) == (size, longest)
+
+
+_NARROW_CHAINS = (
+    lambda n: increasing_oscillation(n, primary=True),
+    lambda n: increasing_oscillation(n, primary=False),
+    head_member,
+    tail_member,
+)
+
+
+@pytest.mark.parametrize(
+    "level_of,chains,chain_min", [(wide_level, _WIDE_CHAINS, 7), (narrow_level, _NARROW_CHAINS, 5)]
+)
+def test_selection_oracle_agrees_with_embedding_search(level_of, chains, chain_min):
+    # the oracle reads the SI patterns of the selections and chains off SI
+    # children alone; on SI permutations it must answer as containment does
+    for upto in (2, 4):
+        levels = {n: level_of(n)[:2] for n in range(1, upto + 1)}
+        for active in (chains[:1], chains[1:]):
+            oracle = _selection_oracle(levels, list(active), chain_min)
+            flat = [q for level in levels.values() for q in level]
+            for k in range(1, 7):
+                texts = flat + [chain(max(chain_min, 2 * k + 6)) for chain in active]
+                for p in filter(is_sum_indecomposable, all_permutations(k)):
+                    assert oracle(p) == any(contains(p, q) for q in texts), (upto, p)
 
 
 @pytest.mark.slow
