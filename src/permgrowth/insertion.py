@@ -457,21 +457,24 @@ def si_gf(f: RationalFunction) -> RationalFunction:
     return one - f.inverse()
 
 
-def eventual_period(f: RationalFunction, max_period: int = 12) -> tuple[list[int], int]:
-    """Smallest period P <= max_period with f * (1 - x^P) polynomial,
+_MAX_PERIOD = 12
+
+
+def eventual_period(f: RationalFunction) -> tuple[list[int], int]:
+    """Smallest period P <= _MAX_PERIOD with f * (1 - x^P) polynomial,
     together with the coefficient prefix that determines the whole series
     (everything beyond it repeats with period P).  Raises if none exists."""
     one_minus = lambda P: IntPolynomial([1] + [0] * (P - 1) + [-1])
-    for P in range(1, max_period + 1):
+    for P in range(1, _MAX_PERIOD + 1):
         g = f * RationalFunction.from_poly(one_minus(P))
         if g.den == ONE:
             D = g.num.degree
             return f.series(max(D, 0) + P), P
-    raise ValueError("series is not eventually periodic with period <= %d" % max_period)
+    raise ValueError("series is not eventually periodic with period <= %d" % _MAX_PERIOD)
 
 
-def coefficients_bounded(f: RationalFunction, bound: int, max_period: int = 12) -> bool:
+def coefficients_bounded(f: RationalFunction, bound: int) -> bool:
     """True iff every power-series coefficient of ``f`` is <= bound, decided
     exactly via eventual periodicity."""
-    prefix, _ = eventual_period(f, max_period)
+    prefix, _ = eventual_period(f)
     return all(c <= bound for c in prefix)

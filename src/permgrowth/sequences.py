@@ -227,6 +227,13 @@ def _chain_type4(n: int) -> Permutation:
 
 _WIDE_CHAINS = (_chain_type1, _chain_type2, _chain_type3, _chain_type4)
 
+_NARROW_CHAINS = (
+    lambda n: increasing_oscillation(n, primary=True),
+    lambda n: increasing_oscillation(n, primary=False),
+    head_member,
+    tail_member,
+)
+
 
 def wide_level(n: int) -> list[Permutation]:
     """Level n of the wide realization poset, most-reusable first; level
@@ -283,20 +290,34 @@ def narrow_level(n: int) -> list[Permutation]:
     return _oscillation_pair(n) + [head_member(n), tail_member(n)]
 
 
-_WIDE_TEMPLATE = SumSequence([1, 1, 3, 5, 5, 5], (4,))
+# each construction: its levels, its infinite chains, and the length from
+# which every level holds just the chains
+_WIDE = (wide_level, _WIDE_CHAINS, 7)
+_NARROW = (narrow_level, _NARROW_CHAINS, 5)
+
+
+def _template(level_of: Callable[[int], list[Permutation]], chains: tuple,
+              chain_min: int) -> SumSequence:
+    """The largest sequence a construction selects from: its level sizes
+    below ``chain_min``, then one member per chain."""
+    return SumSequence([len(level_of(n)) for n in range(1, chain_min)], (len(chains),))
+
+
+_WIDE_TEMPLATE = _template(*_WIDE)
+# without the split-end element that a spike adds
+_NARROW_TEMPLATE = _template(*_NARROW)
 
 
 def _narrow_spike(s: SumSequence) -> Optional[int]:
     """If s is dominated by 1,1,2,3,4^{2i},5,4^... for some i >= 0, the
     position of the allowed 5 (or 0 when no term reaches 5); None when not
     dominated by any member of the family."""
-    if s.tail and max(s.tail) > 4:
+    if s.tail and max(s.tail) > len(_NARROW_CHAINS):
         return None
     spike = 0
-    caps = {1: 1, 2: 1, 3: 2, 4: 3}
     for n in range(1, s._horizon() + 1):
         v = s.term(n)
-        if v > caps.get(n, 4):
+        if v > _NARROW_TEMPLATE.term(n):
             if v == 5 and n >= 5 and n % 2 == 1 and spike == 0:
                 spike = n
             else:
@@ -371,7 +392,7 @@ _NAMED = {
 }
 
 
-def realize(s: SumSequence, basis_bound: Optional[int] = None) -> Realization:
+def realize(s: SumSequence) -> Realization:
     """An explicit class realizing ``s``; requires classify(s) to be
     realizable.  The witness basis is recomputed from the selection and
     validated downstream by census."""
@@ -386,17 +407,11 @@ def realize(s: SumSequence, basis_bound: Optional[int] = None) -> Realization:
         raise ValueError("sequence %s is not known to be realizable" % s)
     if dominates(s, _WIDE_TEMPLATE):
         kind = "wide"
-        level_of, chain_fns, chain_min = wide_level, _WIDE_CHAINS, 7
+        level_of, chain_fns, chain_min = _WIDE
         spike = 0
     else:
         kind = "narrow"
-        level_of, chain_min = narrow_level, 5
-        chain_fns = (
-            lambda n: increasing_oscillation(n, primary=True),
-            lambda n: increasing_oscillation(n, primary=False),
-            head_member,
-            tail_member,
-        )
+        level_of, chain_fns, chain_min = _NARROW
         spike = _narrow_spike(s) or 0
     explicit_to = max(len(s.prefix), chain_min)
     levels: dict[int, list[Permutation]] = {}
@@ -416,8 +431,7 @@ def realize(s: SumSequence, basis_bound: Optional[int] = None) -> Realization:
         "%s-chain-%d" % (kind, i + 1) for i in range(len(active))
     )
     oracle = _selection_oracle(levels, active, chain_min)
-    bound = basis_bound if basis_bound is not None else max(7, len(s.prefix) + 2)
-    basis = compute_basis(oracle, bound)
+    basis = compute_basis(oracle, max(7, len(s.prefix) + 2))
     return Realization(kind, s, levels, chain_names, ClassSpec(basis, label=str(s)))
 
 

@@ -7,6 +7,18 @@ families converge to xi from below).  Each row carries the stated
 polynomial whose greatest real root is the growth rate of the sum closed
 class realizing the sequence.
 
+A row's family label is its sequence.  Each comma-separated token is ``v``
+(one count v), ``v^name`` (v repeated a parameter number of times) or, as
+the last token, ``v^inf`` (the periodic tail v, v, ...).  The row's
+``params`` give the allowed values of each parameter, in the order the
+label first names them:
+
+>>> terms, tail, names = _parse("1,1,3,2^i,1^inf")
+>>> names
+('i',)
+>>> _sequence_of(terms, tail, {"i": 2})
+SumSequence('1,1,3,2,2,(1)')
+
 Verification per instantiated row:
 
 * the stated polynomial agrees with the reciprocal of the denominator of
@@ -57,17 +69,14 @@ def _mono(e: int) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class RowTemplate:
-    table: int
-    family: str
-    atoms: tuple  # (value, count) with count an int or a parameter name
-    tail: Optional[int]
-    params: tuple  # ordered (name, tuple of allowed values)
+    family: str  # the row's sequence, in the notation of the module docstring
+    params: tuple  # a tuple of allowed values per parameter, in label order
     poly: Callable[[dict], IntPolynomial]
     position: str  # "at" | "above" | "below"
     # positivity certificate for "below" rows: stated = x^a * base + R,
     # a = deg stated - deg base
     base: Optional[Callable[[dict], IntPolynomial]] = None
-    convergent: bool = False
+    # the polynomial whose root a convergent family approaches
     limit: Optional[IntPolynomial] = None
 
 
@@ -82,19 +91,32 @@ class TableEntry:
     position: str
 
 
-def _sequence_of(row: RowTemplate, pv: dict) -> SumSequence:
+def _parse(family: str) -> tuple[tuple, Optional[int], tuple]:
+    """The terms a family label states, as (value, count) pairs with count
+    1 or a parameter name; the value of its periodic tail, or None; and its
+    parameter names in the order the label first names them."""
+    terms = []
+    tail = None
+    for token in family.split(","):
+        value, _, count = token.partition("^")
+        if count == "inf":
+            tail = int(value)
+        else:
+            terms.append((int(value), count or 1))
+    names = tuple(dict.fromkeys(c for _, c in terms if isinstance(c, str)))
+    return tuple(terms), tail, names
+
+
+def _sequence_of(terms: tuple, tail: Optional[int], pv: dict) -> SumSequence:
     prefix: list[int] = []
-    for value, count in row.atoms:
+    for value, count in terms:
         n = count if isinstance(count, int) else pv[count]
         prefix.extend([value] * n)
-    return SumSequence(prefix, (row.tail,) if row.tail is not None else ())
+    return SumSequence(prefix, (tail,) if tail is not None else ())
 
 
-def _assignments(row: RowTemplate, max_index: int):
-    names = [name for name, _ in row.params]
-    pools = [
-        [v for v in values if v <= max_index] for _, values in row.params
-    ]
+def _assignments(names: tuple, domains: tuple, max_index: int):
+    pools = [[v for v in values if v <= max_index] for values in domains]
     for combo in itertools.product(*pools):
         yield dict(zip(names, combo))
 
@@ -109,66 +131,57 @@ LE5 = tuple(range(0, 6))
 Q = XI_POLY
 
 
-def _fixed(table: int, family: str, terms: dict[int, int], position: str) -> RowTemplate:
-    atoms = tuple((int(tok), 1) for tok in family.split(","))
-    stated = _poly(terms)
-    return RowTemplate(
-        table, family, atoms, None, (), lambda pv, p=stated: p, position
-    )
+def _fixed(family: str, stated: IntPolynomial, position: str) -> RowTemplate:
+    return RowTemplate(family, (), lambda pv, p=stated: p, position)
 
 
 _TABLE1 = (
-    _fixed(1, "1,1,2,4,3,3,2,1", {5: 1, 4: -2, 2: -1, 1: -1, 0: -1}, "at"),
-    _fixed(1, "1,1,2,4,3,3,3", {7: 1, 6: -1, 5: -1, 4: -2, 3: -4, 2: -3, 1: -3, 0: -3}, "above"),
-    _fixed(1, "1,1,2,4,4,1,1,1,1,1,1",
-           {11: 1, 10: -1, 9: -1, 8: -2, 7: -4, 6: -4, 5: -1, 4: -1, 3: -1, 2: -1, 1: -1, 0: -1},
+    _fixed("1,1,2,4,3,3,2,1", Q, "at"),
+    _fixed("1,1,2,4,3,3,3", _poly({7: 1, 6: -1, 5: -1, 4: -2, 3: -4, 2: -3, 1: -3, 0: -3}),
            "above"),
-    _fixed(1, "1,1,2,4,4,2", {6: 1, 5: -1, 4: -1, 3: -2, 2: -4, 1: -4, 0: -2}, "above"),
-    _fixed(1, "1,1,2,4,5", {5: 1, 4: -1, 3: -1, 2: -2, 1: -4, 0: -5}, "above"),
-    _fixed(1, "1,1,2,5,2,1,1", {6: 1, 5: -2, 4: 1, 3: -3, 2: -2, 0: -1}, "above"),
-    _fixed(1, "1,1,2,5,2,2", {6: 1, 5: -1, 4: -1, 3: -2, 2: -5, 1: -2, 0: -2}, "above"),
-    _fixed(1, "1,1,2,5,3", {5: 1, 4: -1, 3: -1, 2: -2, 1: -5, 0: -3}, "above"),
-    _fixed(1, "1,1,3,3,1,1,1,1,1,1",
-           {10: 1, 9: -1, 8: -1, 7: -3, 6: -3, 5: -1, 4: -1, 3: -1, 2: -1, 1: -1, 0: -1},
+    _fixed("1,1,2,4,4,1,1,1,1,1,1",
+           _poly({11: 1, 10: -1, 9: -1, 8: -2, 7: -4, 6: -4,
+                  5: -1, 4: -1, 3: -1, 2: -1, 1: -1, 0: -1}),
            "above"),
-    _fixed(1, "1,1,3,3,2", {5: 1, 4: -1, 3: -1, 2: -3, 1: -3, 0: -2}, "above"),
-    _fixed(1, "1,1,3,4", {3: 1, 2: -2, 1: 1, 0: -4}, "above"),
+    _fixed("1,1,2,4,4,2", _poly({6: 1, 5: -1, 4: -1, 3: -2, 2: -4, 1: -4, 0: -2}), "above"),
+    _fixed("1,1,2,4,5", _poly({5: 1, 4: -1, 3: -1, 2: -2, 1: -4, 0: -5}), "above"),
+    _fixed("1,1,2,5,2,1,1", _poly({6: 1, 5: -2, 4: 1, 3: -3, 2: -2, 0: -1}), "above"),
+    _fixed("1,1,2,5,2,2", _poly({6: 1, 5: -1, 4: -1, 3: -2, 2: -5, 1: -2, 0: -2}), "above"),
+    _fixed("1,1,2,5,3", _poly({5: 1, 4: -1, 3: -1, 2: -2, 1: -5, 0: -3}), "above"),
+    _fixed("1,1,3,3,1,1,1,1,1,1",
+           _poly({10: 1, 9: -1, 8: -1, 7: -3, 6: -3, 5: -1, 4: -1, 3: -1, 2: -1, 1: -1, 0: -1}),
+           "above"),
+    _fixed("1,1,3,3,2", _poly({5: 1, 4: -1, 3: -1, 2: -3, 1: -3, 0: -2}), "above"),
+    _fixed("1,1,3,4", _poly({3: 1, 2: -2, 1: 1, 0: -4}), "above"),
 )
 
-_HEAD = ((1, 1), (1, 1), (2, 1), (3, 1))  # every table 2/4 sequence starts 1,1,2,3
 
-
-def _t2_row(family: str, suffix: tuple, g_terms: dict[int, int], shift_plus: int) -> RowTemplate:
+def _t2_row(family: str, g_terms: dict[int, int], shift_plus: int) -> RowTemplate:
     g = _poly(g_terms)
     return RowTemplate(
-        2, family, _HEAD + ((4, "i"),) + suffix, None, (("i", FULL),),
+        family, (FULL,),
         lambda pv, g=g, k=shift_plus: Q.shift(pv["i"] + k) + g,
-        "above", convergent=True, limit=Q,
+        "above", limit=Q,
     )
 
 
 # shift exponents and offset terms for the convergent table 2 families; the
 # offset is negative just right of xi, so the roots approach xi from above
 _TABLE2_FAMILY_DATA = (
-    ("1,1,2,3,4^i,5,3,3,3", ((5, 1), (3, 1), (3, 1), (3, 1)), {4: -1, 3: 2, 0: 3}, 4),
-    ("1,1,2,3,4^i,5,4,1,1,1,1,1,1",
-     ((5, 1), (4, 1)) + ((1, 1),) * 6, {8: -1, 7: 1, 6: 3, 0: 1}, 8),
-    ("1,1,2,3,4^i,5,4,2", ((5, 1), (4, 1), (2, 1)), {3: -1, 2: 1, 1: 2, 0: 2}, 3),
-    ("1,1,2,3,4^i,5,5", ((5, 1), (5, 1)), {2: -1, 0: 5}, 2),
-    ("1,1,2,3,4^i,6,2,1,1", ((6, 1), (2, 1), (1, 1), (1, 1)), {4: -2, 3: 4, 2: 1, 0: 1}, 4),
-    ("1,1,2,3,4^i,6,2,2", ((6, 1), (2, 1), (2, 1)), {3: -2, 2: 4, 0: 2}, 3),
-    ("1,1,2,3,4^i,6,3", ((6, 1), (3, 1)), {2: -2, 1: 3, 0: 3}, 2),
-    ("1,1,2,3,4^i,7,1", ((7, 1), (1, 1)), {2: -3, 1: 6, 0: 1}, 2),
-    ("1,1,2,3,4^i,8", ((8, 1),), {1: -4, 0: 8}, 1),
+    ("1,1,2,3,4^i,5,3,3,3", {4: -1, 3: 2, 0: 3}, 4),
+    ("1,1,2,3,4^i,5,4,1,1,1,1,1,1", {8: -1, 7: 1, 6: 3, 0: 1}, 8),
+    ("1,1,2,3,4^i,5,4,2", {3: -1, 2: 1, 1: 2, 0: 2}, 3),
+    ("1,1,2,3,4^i,5,5", {2: -1, 0: 5}, 2),
+    ("1,1,2,3,4^i,6,2,1,1", {4: -2, 3: 4, 2: 1, 0: 1}, 4),
+    ("1,1,2,3,4^i,6,2,2", {3: -2, 2: 4, 0: 2}, 3),
+    ("1,1,2,3,4^i,6,3", {2: -2, 1: 3, 0: 3}, 2),
+    ("1,1,2,3,4^i,7,1", {2: -3, 1: 6, 0: 1}, 2),
+    ("1,1,2,3,4^i,8", {1: -4, 0: 8}, 1),
 )
 
 _TABLE2 = (
-    RowTemplate(2, "1,1,2,3,4^inf", _HEAD, 4, (), lambda pv: Q, "at"),
-    RowTemplate(
-        2, "1,1,2,3,4^i,5,3,3,2,1",
-        _HEAD + ((4, "i"), (5, 1), (3, 1), (3, 1), (2, 1), (1, 1)), None,
-        (("i", FULL),), lambda pv: Q, "at",
-    ),
+    _fixed("1,1,2,3,4^inf", Q, "at"),
+    RowTemplate("1,1,2,3,4^i,5,3,3,2,1", (FULL,), lambda pv: Q, "at"),
 ) + tuple(_t2_row(*data) for data in _TABLE2_FAMILY_DATA)
 
 
@@ -184,66 +197,53 @@ _B_1124_2 = _poly({5: 1, 4: -2, 2: -1, 1: -2, 0: 2})
 _B_ONE = _poly({1: 1, 0: -2})
 
 
-def _t3_fixed(family: str, atoms: tuple, tail: Optional[int], stated: IntPolynomial) -> RowTemplate:
-    return RowTemplate(3, family, atoms, tail, (), lambda pv, p=stated: p, "below")
-
-
-def _t3_i(family: str, atoms: tuple, tail: Optional[int], base: IntPolynomial,
-          values: tuple = FULL, convergent: bool = True) -> RowTemplate:
+def _t3_i(family: str, base: IntPolynomial, values: tuple = FULL,
+          convergent: bool = True) -> RowTemplate:
     # bounded families (the base root itself sits above xi, which is why the
     # index is bounded) get no certificate and are root-compared directly
     return RowTemplate(
-        3, family, atoms, tail, (("i", values),),
+        family, (values,),
         lambda pv, b=base: b.shift(pv["i"]) + ONE, "below",
         base=(lambda pv, b=base: b) if convergent else None,
-        convergent=convergent, limit=base if convergent else None,
+        limit=base if convergent else None,
     )
 
 
-def _t3_ij(family: str, atoms: tuple, base: IntPolynomial) -> RowTemplate:
+def _t3_ij(family: str, base: IntPolynomial) -> RowTemplate:
     return RowTemplate(
-        3, family, atoms, None, (("i", FULL), ("j", FULL)),
+        family, (FULL, FULL),
         lambda pv, b=base: b.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
         "below",
         base=lambda pv, b=base: b,
-        convergent=True, limit=base,
+        limit=base,
     )
 
 
 _TABLE3 = (
-    _t3_i("1,1,3,3,1^i", ((1, 1), (1, 1), (3, 1), (3, 1), (1, "i")), None,
-          _B_1331, values=LE5, convergent=False),
-    _t3_fixed("1,1,3,2^inf", ((1, 1), (1, 1), (3, 1)), 2, _B_113_2),
-    _t3_i("1,1,3,2^i,1^inf", ((1, 1), (1, 1), (3, 1), (2, "i")), 1, _B_113_2),
-    _t3_ij("1,1,3,2^i,1^j", ((1, 1), (1, 1), (3, 1), (2, "i"), (1, "j")), _B_113_2),
-    _t3_fixed("1,1,2,5,2,1", ((1, 1), (1, 1), (2, 1), (5, 1), (2, 1), (1, 1)), None,
-              _poly({6: 1, 5: -1, 4: -1, 3: -2, 2: -5, 1: -2, 0: -1})),
-    _t3_fixed("1,1,2,5,2", ((1, 1), (1, 1), (2, 1), (5, 1), (2, 1)), None,
-              _poly({5: 1, 4: -1, 3: -1, 2: -2, 1: -5, 0: -2})),
-    _t3_fixed("1,1,2,5,1^inf", ((1, 1), (1, 1), (2, 1), (5, 1)), 1, _B_1125_1),
-    _t3_i("1,1,2,5,1^i", ((1, 1), (1, 1), (2, 1), (5, 1), (1, "i")), None, _B_1125_1),
-    _t3_i("1,1,2,4,4,1^i", ((1, 1), (1, 1), (2, 1), (4, 1), (4, 1), (1, "i")), None,
-          _B_11244, values=LE5, convergent=False),
-    _t3_fixed("1,1,2,4,3,3,2", ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1), (3, 1), (2, 1)), None,
-              _poly({7: 1, 6: -1, 5: -1, 4: -2, 3: -4, 2: -3, 1: -3, 0: -2})),
-    _t3_fixed("1,1,2,4,3,3,1^inf", ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1), (3, 1)), 1,
-              _B_112433_1),
-    _t3_i("1,1,2,4,3,3,1^i", ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1), (3, 1), (1, "i")),
-          None, _B_112433_1),
-    _t3_fixed("1,1,2,4,3,2^inf", ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1)), 2, _B_11243_2),
-    _t3_i("1,1,2,4,3,2^i,1^inf", ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1), (2, "i")), 1,
-          _B_11243_2),
-    _t3_ij("1,1,2,4,3,2^i,1^j",
-           ((1, 1), (1, 1), (2, 1), (4, 1), (3, 1), (2, "i"), (1, "j")), _B_11243_2),
-    _t3_fixed("1,1,2,4,2^inf", ((1, 1), (1, 1), (2, 1), (4, 1)), 2, _B_1124_2),
-    _t3_i("1,1,2,4,2^i,1^inf", ((1, 1), (1, 1), (2, 1), (4, 1), (2, "i")), 1, _B_1124_2),
-    _t3_ij("1,1,2,4,2^i,1^j", ((1, 1), (1, 1), (2, 1), (4, 1), (2, "i"), (1, "j")),
-           _B_1124_2),
-    _t3_fixed("1,1,2^inf", ((1, 1), (1, 1)), 2, KAPPA_POLY),
-    _t3_i("1,1,2^i,1^inf", ((1, 1), (1, 1), (2, "i")), 1, KAPPA_POLY),
-    _t3_ij("1,1,2^i,1^j", ((1, 1), (1, 1), (2, "i"), (1, "j")), KAPPA_POLY),
-    _t3_fixed("1^inf", (), 1, _B_ONE),
-    _t3_i("1^i", ((1, "i"),), None, _B_ONE, values=tuple(range(1, 7))),
+    _t3_i("1,1,3,3,1^i", _B_1331, values=LE5, convergent=False),
+    _fixed("1,1,3,2^inf", _B_113_2, "below"),
+    _t3_i("1,1,3,2^i,1^inf", _B_113_2),
+    _t3_ij("1,1,3,2^i,1^j", _B_113_2),
+    _fixed("1,1,2,5,2,1", _poly({6: 1, 5: -1, 4: -1, 3: -2, 2: -5, 1: -2, 0: -1}), "below"),
+    _fixed("1,1,2,5,2", _poly({5: 1, 4: -1, 3: -1, 2: -2, 1: -5, 0: -2}), "below"),
+    _fixed("1,1,2,5,1^inf", _B_1125_1, "below"),
+    _t3_i("1,1,2,5,1^i", _B_1125_1),
+    _t3_i("1,1,2,4,4,1^i", _B_11244, values=LE5, convergent=False),
+    _fixed("1,1,2,4,3,3,2", _poly({7: 1, 6: -1, 5: -1, 4: -2, 3: -4, 2: -3, 1: -3, 0: -2}),
+           "below"),
+    _fixed("1,1,2,4,3,3,1^inf", _B_112433_1, "below"),
+    _t3_i("1,1,2,4,3,3,1^i", _B_112433_1),
+    _fixed("1,1,2,4,3,2^inf", _B_11243_2, "below"),
+    _t3_i("1,1,2,4,3,2^i,1^inf", _B_11243_2),
+    _t3_ij("1,1,2,4,3,2^i,1^j", _B_11243_2),
+    _fixed("1,1,2,4,2^inf", _B_1124_2, "below"),
+    _t3_i("1,1,2,4,2^i,1^inf", _B_1124_2),
+    _t3_ij("1,1,2,4,2^i,1^j", _B_1124_2),
+    _fixed("1,1,2^inf", KAPPA_POLY, "below"),
+    _t3_i("1,1,2^i,1^inf", KAPPA_POLY),
+    _t3_ij("1,1,2^i,1^j", KAPPA_POLY),
+    _fixed("1^inf", _B_ONE, "below"),
+    _t3_i("1^i", _B_ONE, values=tuple(range(1, 7))),
 )
 
 
@@ -258,84 +258,53 @@ _T4_541 = lambda pv: (
     Q.shift(pv["i"] + pv["j"] + 2) - _poly({2: 1, 1: -1, 0: -3}).shift(pv["j"]) + ONE
 )
 
+_T4_5331 = lambda pv: (
+    Q.shift(pv["i"] + pv["j"] + 3) - _poly({3: 1, 2: -2, 0: -2}).shift(pv["j"]) + ONE
+)
+
+_T4_5321 = lambda pv: (
+    _t4_certified(pv).shift(pv["k"] + pv["l"]) + _mono(pv["l"]) + ONE
+)
+
 _TABLE4 = (
-    RowTemplate(4, "1,1,2,3,4^i,5,4,1^j",
-                _HEAD + ((4, "i"), (5, 1), (4, 1), (1, "j")), None,
-                (("i", LE1), ("j", LE5)), _T4_541, "below"),
-    RowTemplate(4, "1,1,2,3,4^i,5,4,1^j",
-                _HEAD + ((4, "i"), (5, 1), (4, 1), (1, "j")), None,
-                (("i", EVEN), ("j", LE1)), _T4_541, "below",
-                convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,5,3,3,2",
-                _HEAD + ((4, "i"), (5, 1), (3, 1), (3, 1), (2, 1)), None,
-                (("i", ONE_OR_EVEN),),
+    RowTemplate("1,1,2,3,4^i,5,4,1^j", (LE1, LE5), _T4_541, "below"),
+    RowTemplate("1,1,2,3,4^i,5,4,1^j", (EVEN, LE1), _T4_541, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3,3,2", (ONE_OR_EVEN,),
                 lambda pv: Q.shift(pv["i"] + 4) + _poly({4: -1, 3: 2, 1: 1, 0: 2}),
-                "below", convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,5,3,3,1^inf",
-                _HEAD + ((4, "i"), (5, 1), (3, 1), (3, 1)), 1,
-                (("i", LE1),),
+                "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^inf", (LE1,),
                 lambda pv: Q.shift(pv["i"] + 3) + _poly({3: -1, 2: 2, 0: 2}),
                 "below"),
-    RowTemplate(4, "1,1,2,3,4^i,5,3,3,1^j",
-                _HEAD + ((4, "i"), (5, 1), (3, 1), (3, 1), (1, "j")), None,
-                (("i", LE1), ("j", FULL)),
-                lambda pv: Q.shift(pv["i"] + pv["j"] + 3)
-                - _poly({3: 1, 2: -2, 0: -2}).shift(pv["j"]) + ONE,
-                "below"),
-    RowTemplate(4, "1,1,2,3,4^i,5,3,3,1^j",
-                _HEAD + ((4, "i"), (5, 1), (3, 1), (3, 1), (1, "j")), None,
-                (("i", EVEN), ("j", LE1)),
-                lambda pv: Q.shift(pv["i"] + pv["j"] + 3)
-                - _poly({3: 1, 2: -2, 0: -2}).shift(pv["j"]) + ONE,
-                "below", convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^inf",
-                _HEAD + ((4, "i"), (5, 1), (3, "j")), 2,
-                (("i", ONE_OR_EVEN), ("j", LE1)),
-                _t4_certified, "below", convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^k,1^inf",
-                _HEAD + ((4, "i"), (5, 1), (3, "j"), (2, "k")), 1,
-                (("i", LE1), ("j", LE1), ("k", FULL)),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (LE1, FULL), _T4_5331, "below"),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (EVEN, LE1), _T4_5331, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^inf", (ONE_OR_EVEN, LE1),
+                _t4_certified, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^inf", (LE1, LE1, FULL),
                 lambda pv: _t4_certified(pv).shift(pv["k"]) + ONE,
                 "below",
                 base=_t4_certified),
-    RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^k,1^l",
-                _HEAD + ((4, "i"), (5, 1), (3, "j"), (2, "k"), (1, "l")), None,
-                (("i", LE1), ("j", LE1), ("k", FULL), ("l", FULL)),
-                lambda pv: _t4_certified(pv).shift(pv["k"] + pv["l"])
-                + _mono(pv["l"]) + ONE,
-                "below",
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (LE1, LE1, FULL, FULL), _T4_5321, "below",
                 base=_t4_certified),
-    RowTemplate(4, "1,1,2,3,4^i,5,3^j,2^k,1^l",
-                _HEAD + ((4, "i"), (5, 1), (3, "j"), (2, "k"), (1, "l")), None,
-                (("i", EVEN), ("j", LE1), ("k", FULL), ("l", LE1)),
-                lambda pv: _t4_certified(pv).shift(pv["k"] + pv["l"])
-                + _mono(pv["l"]) + ONE,
-                "below",
-                base=_t4_certified, convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,3^inf", _HEAD + ((4, "i"),), 3,
-                (("i", FULL),),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (EVEN, LE1, FULL, LE1), _T4_5321, "below",
+                base=_t4_certified, limit=Q),
+    RowTemplate("1,1,2,3,4^i,3^inf", (FULL,),
                 lambda pv: Q.shift(pv["i"]) + ONE, "below",
-                base=lambda pv: Q, convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,3^j,2^inf", _HEAD + ((4, "i"), (3, "j")), 2,
-                (("i", FULL), ("j", FULL)),
+                base=lambda pv: Q, limit=Q),
+    RowTemplate("1,1,2,3,4^i,3^j,2^inf", (FULL, FULL),
                 lambda pv: Q.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
                 "below",
-                base=lambda pv: Q, convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,3^j,2^k,1^inf",
-                _HEAD + ((4, "i"), (3, "j"), (2, "k")), 1,
-                (("i", FULL), ("j", FULL), ("k", FULL)),
+                base=lambda pv: Q, limit=Q),
+    RowTemplate("1,1,2,3,4^i,3^j,2^k,1^inf", (FULL, FULL, FULL),
                 lambda pv: Q.shift(pv["i"] + pv["j"] + pv["k"])
                 + _mono(pv["j"] + pv["k"]) + _mono(pv["k"]) + ONE,
                 "below",
-                base=lambda pv: Q, convergent=True, limit=Q),
-    RowTemplate(4, "1,1,2,3,4^i,3^j,2^k,1^l",
-                _HEAD + ((4, "i"), (3, "j"), (2, "k"), (1, "l")), None,
-                (("i", FULL), ("j", FULL), ("k", FULL), ("l", FULL)),
+                base=lambda pv: Q, limit=Q),
+    RowTemplate("1,1,2,3,4^i,3^j,2^k,1^l", (FULL, FULL, FULL, FULL),
                 lambda pv: Q.shift(pv["i"] + pv["j"] + pv["k"] + pv["l"])
                 + _mono(pv["j"] + pv["k"] + pv["l"])
                 + _mono(pv["k"] + pv["l"]) + _mono(pv["l"]) + ONE,
                 "below",
-                base=lambda pv: Q, convergent=True, limit=Q),
+                base=lambda pv: Q, limit=Q),
 )
 
 TABLES: dict[int, tuple[RowTemplate, ...]] = {
@@ -392,20 +361,21 @@ def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
 
 
 def _instances(which: int, max_index: int):
-    """Each row template of the table with the instances it adds: the
-    (assignment, sequence, stated polynomial) triples whose pair (sequence,
-    polynomial) no earlier instance of the table has."""
+    """Each row template of the table with its parameter names and the
+    instances it adds: the (assignment, sequence, stated polynomial) triples
+    whose pair (sequence, polynomial) no earlier instance of the table has."""
     seen = set()
     for row in TABLES[which]:
+        terms, tail, names = _parse(row.family)
         fresh = []
-        for pv in _assignments(row, max_index):
-            seq = _sequence_of(row, pv)
+        for pv in _assignments(names, row.params, max_index):
+            seq = _sequence_of(terms, tail, pv)
             stated = row.poly(pv)
             key = (str(seq), stated.coeffs)
             if key not in seen:
                 seen.add(key)
                 fresh.append((pv, seq, stated))
-        yield row, fresh
+        yield row, names, fresh
 
 
 def _by_growth(e: TableEntry) -> tuple:
@@ -423,7 +393,7 @@ def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
             _float_largest_root(stated),
             row.position,
         )
-        for row, fresh in _instances(which, max_index)
+        for row, _, fresh in _instances(which, max_index)
         for pv, seq, stated in fresh
     ]
     entries.sort(key=_by_growth)
@@ -456,7 +426,7 @@ def verify_table(which: int, max_index: int = 6) -> dict:
     dictionary with any failures listed."""
     problems: list[str] = []
     checked = 0
-    for row, fresh in _instances(which, max_index):
+    for row, names, fresh in _instances(which, max_index):
         for pv, seq, stated in fresh:
             checked += 1
             label = "%s %s" % (row.family, sorted(pv.items()))
@@ -475,8 +445,8 @@ def verify_table(which: int, max_index: int = 6) -> dict:
                 problems.append(
                     "%s: root is not %s xi" % (label, row.position)
                 )
-        if row.convergent:
-            err = _check_convergence(row, max_index)
+        if row.limit is not None:
+            err = _check_convergence(row, names, max_index)
             if err:
                 problems.append("%s: %s" % (row.family, err))
     return {
@@ -487,16 +457,17 @@ def verify_table(which: int, max_index: int = 6) -> dict:
     }
 
 
-def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
+def _check_convergence(row: RowTemplate, names: tuple, max_index: int) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
     approach the family limit monotonically from the side ``row.position``
     names, and, once the values reach the last listed index, come within
     0.05 of it."""
-    name, listed = row.params[0]
+    name = names[0]
+    listed = row.params[0]
     values = [v for v in listed if v <= max_index]
     if len(values) < 2:
         return None
-    rest = {n: vals[0] for n, vals in row.params[1:]}
+    rest = {n: vals[0] for n, vals in zip(names[1:], row.params[1:])}
     side = 1 if row.position == "above" else -1  # sign of root - limit
     limit = largest_real_root(row.limit)
     roots = [largest_real_root(row.poly({**rest, name: v})) for v in values]

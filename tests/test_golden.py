@@ -27,6 +27,7 @@ GOLDEN = {
     "table3": ("table3", {}),
     "table4": ("table4", {}),
     "search-1123-census7": ("search-1123", {"census_len": 7}),
+    "search-1123": ("search-1123", {}),
     # a sum closed class (the Fibonacci class) and one that is not
     "census-fibonacci-10": ("census", {"spec": spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1"), "max_len": 10}),
     "census-321-2143-10": ("census", {"spec": spec_from_strs("3 2 1", "2 1 4 3"), "max_len": 10}),

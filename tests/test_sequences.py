@@ -8,12 +8,10 @@ from permgrowth.insertion import class_gf, si_gf
 from permgrowth.perms import (
     all_permutations,
     contains,
-    head_member,
-    increasing_oscillation,
     is_sum_indecomposable,
-    tail_member,
 )
 from permgrowth.sequences import (
+    _NARROW_CHAINS,
     _WIDE_CHAINS,
     _selection_oracle,
     SumSequence,
@@ -158,14 +156,6 @@ def test_realize_table2_family_exactly(i, size, longest):
     spec = realize(s).spec
     assert si_gf(class_gf(spec)) == gf_of_sequence(s)
     assert (len(spec.basis), max(map(len, spec.basis))) == (size, longest)
-
-
-_NARROW_CHAINS = (
-    lambda n: increasing_oscillation(n, primary=True),
-    lambda n: increasing_oscillation(n, primary=False),
-    head_member,
-    tail_member,
-)
 
 
 @pytest.mark.parametrize(

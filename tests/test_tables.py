@@ -4,7 +4,9 @@ from permgrowth.algebraics import XI_POLY
 from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, is_legal
 from permgrowth.tables import (
+    MAX_INDEX,
     TABLES,
+    _parse,
     _strip_trivial,
     entries_to_csv,
     enumerate_below_xi,
@@ -25,6 +27,18 @@ def test_table_one_first_row_is_threshold_polynomial():
     assert e.polynomial == XI_POLY
     assert e.position == "at"
     assert e.sequence == SumSequence.parse("1,1,2,4,3,3,2,1")
+
+
+def test_every_row_has_one_domain_per_parameter():
+    # a spare domain would pass unseen: zip drops it and the dedup hides
+    # the repeated instances
+    for which, rows in TABLES.items():
+        for row in rows:
+            _, _, names = _parse(row.family)
+            assert len(names) == len(row.params), (which, row.family)
+            for values in row.params:
+                assert values, (which, row.family)
+                assert all(0 <= v <= MAX_INDEX for v in values), (which, row.family)
 
 
 def test_strip_trivial_removes_x_and_x_minus_and_plus_one():
