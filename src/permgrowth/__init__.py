@@ -28,7 +28,7 @@ from .perms import (
     standardize,
     sum_components,
 )
-from .polynomials import IntPolynomial, RationalFunction, series_coefficients
+from .polynomials import IntPolynomial, RationalFunction
 from .algebraics import (
     KAPPA_POLY,
     XI_POLY,
@@ -96,7 +96,6 @@ __all__ = [
     "sum_components",
     "IntPolynomial",
     "RationalFunction",
-    "series_coefficients",
     "KAPPA_POLY",
     "XI_POLY",
     "AlgebraicNumber",

@@ -254,10 +254,8 @@ def run_recon_verify(n: int = 6):
 TAPER_SIZES = {4: 2, 5: 3, 6: 4, 11: 5}
 
 
-def run_taper_verify(n: Optional[int] = None, m: Optional[int] = None):
-    if (n is None) != (m is None):
-        raise ValueError("taper verification needs both n and m, or neither")
-    pairs = tuple(TAPER_SIZES.items())[:3] if n is None else ((n, m),)
+def run_taper_verify(n: Optional[int] = None):
+    pairs = tuple(TAPER_SIZES.items())[:3] if n is None else ((n, TAPER_SIZES[n]),)
     results = []
     ok = True
     for nn, mm in pairs:
@@ -271,7 +269,7 @@ def run_taper_verify(n: Optional[int] = None, m: Optional[int] = None):
                 "violations": [[str(p) for p in g] for g in rep.failures],
             }
         )
-    return {} if n is None else {"n": n, "m": m}, ok, {"results": results}
+    return {} if n is None else {"n": n, "m": TAPER_SIZES[n]}, ok, {"results": results}
 
 
 def run_table(which: int, max_index: int = 6):
@@ -411,18 +409,13 @@ def run_classify(seq: SumSequence):
 class Param:
     """One input of a campaign: the CLI option that gives it, the runner
     keyword it feeds, the values it allows (``allowed`` says which in
-    words, ``valid`` tests a value) and whether the campaign needs it.
-    ``derive`` gives further runner keywords computed from the value."""
+    words, ``valid`` tests a value) and whether the campaign needs it."""
 
     option: str
     keyword: str
     allowed: str = ""
     valid: Callable[[Any], bool] = lambda value: True
     required: bool = False
-    derive: Callable[[Any], dict] = lambda value: {}
-
-    def feed(self, value) -> dict:
-        return {self.keyword: value, **self.derive(value)}
 
 
 def _length(keyword: str, lo: int, hi: Optional[int] = None) -> Param:
@@ -435,7 +428,7 @@ _EPS = Param("--eps", "eps", "above 0", lambda eps: eps > 0)
 _TABLE_INDEX = (_length("max_index", 0, tables.MAX_INDEX),)
 _TAPER_LENGTH = Param(
     "--max-len", "n", "one of %s" % ", ".join(map(str, TAPER_SIZES)),
-    lambda n: n in TAPER_SIZES, derive=lambda n: {"m": TAPER_SIZES.get(n)},
+    lambda n: n in TAPER_SIZES,
 )
 
 

@@ -9,7 +9,7 @@ per line, with ``#`` comments.  Census data serializes to CSV with columns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .perms import (
     ALTERNATION_KINDS,
@@ -30,20 +30,18 @@ CENSUS_BOUND = 14
 
 class ClassSpec:
     """An avoidance class Av(basis).  The basis is minimized to an antichain
-    on construction; the original generating set is retained for reference."""
+    on construction."""
 
-    __slots__ = ("basis", "original", "label")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis: Iterable[Permutation], label: Optional[str] = None):
-        original = tuple(sorted(set(basis)))
+    def __init__(self, basis: Iterable[Permutation]):
+        given = set(basis)
         minimal = [
             p
-            for p in original
-            if not any(q != p and contains(q, p) for q in original)
+            for p in given
+            if not any(q != p and contains(q, p) for q in given)
         ]
         object.__setattr__(self, "basis", frozenset(minimal))
-        object.__setattr__(self, "original", original)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassSpec is immutable")
@@ -74,8 +72,8 @@ def parse_basis_text(text: str) -> ClassSpec:
     return ClassSpec(perms)
 
 
-def spec_from_strs(*perm_strs: str, label: Optional[str] = None) -> ClassSpec:
-    return ClassSpec([parse_permutation(s) for s in perm_strs], label=label)
+def spec_from_strs(*perm_strs: str) -> ClassSpec:
+    return ClassSpec([parse_permutation(s) for s in perm_strs])
 
 
 def member(spec: ClassSpec, p: Permutation) -> bool:

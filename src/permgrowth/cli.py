@@ -88,7 +88,7 @@ def _campaign_params(args) -> dict:
         if value is not None:
             if option not in taken:
                 raise ValueError("%s takes no %s" % (args.campaign, option))
-            params.update(taken[option].feed(_PARSE.get(option, lambda v: v)(value)))
+            params[taken[option].keyword] = _PARSE.get(option, lambda v: v)(value)
     return params
 
 

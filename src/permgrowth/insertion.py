@@ -29,7 +29,6 @@ from .perms import Permutation
 from .polynomials import ONE, IntPolynomial, RationalFunction
 
 ACTIONS = ("f", "l", "r", "m")
-_ACTION_NAMES = {"f": "fill", "l": "left", "r": "right", "m": "middle"}
 
 
 class NotRegular(ValueError):

@@ -533,8 +533,3 @@ class RationalFunction:
         if self.den == ONE:
             return format_poly(self.num.coeffs)
         return "(%s) / (%s)" % (format_poly(self.num.coeffs), format_poly(self.den.coeffs))
-
-
-def series_coefficients(f: RationalFunction, n: int) -> list[int]:
-    """First n+1 power-series coefficients of ``f``."""
-    return f.series(n)

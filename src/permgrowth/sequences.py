@@ -2,6 +2,13 @@
 permutations: legality, domination, generating functions, growth rates,
 classification, and explicit realizing classes.
 
+A realizable sequence takes its class from one of two constructions, the
+wide one (``WIDE``) or the oscillation-based narrow one (``NARROW``).  Each
+is one ``Construction`` record: its chains with the length each starts at,
+the extra members of a few short levels, and the length ``chain_min`` from
+which a level holds just the chains.  Its levels and its template, the
+largest sequence it realizes, are read off that record.
+
 Text format: comma-separated prefix with an optional parenthesized periodic
 tail, e.g. ``1,1,2,3,(4)`` for 1,1,2,3,4,4,... and ``1,1,2,5,2,1`` for a
 sequence that ends in zeros.
@@ -15,13 +22,14 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebraics import AlgebraicNumber, compare, largest_real_root, growth_polynomial, xi
-from .classes import ClassSpec, compute_basis, spec_from_strs
+from .classes import ClassSpec, compute_basis
 from .perms import (
     Permutation,
     children,
     direct_sum,
     head_member,
     increasing_oscillation,
+    parse_permutation,
     skew_sum,
     split_end_member,
     tail_member,
@@ -192,132 +200,79 @@ def position_vs_xi(growth: AlgebraicNumber) -> str:
 # the two realization constructions
 
 
-def _p(entries: Iterable[int]) -> Permutation:
-    return Permutation(entries)
+@dataclass(frozen=True)
+class Construction:
+    """A realization poset: infinite chains, each with the length it starts
+    at, and the extra members of a few short levels.  From ``chain_min`` on,
+    a level holds just the chains.  A level lists its most reusable members
+    first (the chains in order, then the extras), and a realizing class
+    selects the first s_n of them.
+
+    >>> [str(p) for p in WIDE.level(4)]
+    ['2 3 4 1', '3 2 4 1', '2 4 3 1', '3 4 2 1', '4 3 2 1']
+    >>> WIDE.template(), NARROW.template()
+    (SumSequence('1,1,3,5,5,5,(4)'), SumSequence('1,1,2,3,(4)'))
+    """
+
+    name: str
+    chains: tuple[tuple[int, Callable[[int], Permutation]], ...]
+    extra: dict[int, tuple[str, ...]]
+    chain_min: int
+
+    def level(self, n: int) -> list[Permutation]:
+        if n < 1:
+            raise ValueError("levels start at 1")
+        members = [chain(n) for start, chain in self.chains if n >= start]
+        return members + [parse_permutation(q) for q in self.extra.get(n, ())]
+
+    def template(self) -> SumSequence:
+        """The largest sequence the construction selects from: its level
+        sizes below ``chain_min``, then one member per chain."""
+        sizes = [len(self.level(n)) for n in range(1, self.chain_min)]
+        return SumSequence(sizes, (len(self.chains),))
 
 
-def _increasing(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
+def _wide_chain(head: str) -> tuple[int, Callable[[int], Permutation]]:
+    """The chain (h ⊕ 12...k) ⊖ 1 for k >= 0, from length len(h) + 1."""
+    h = parse_permutation(head)
+
+    def chain(n: int) -> Permutation:
+        return skew_sum(direct_sum(h, Permutation(range(1, n - len(h)))), Permutation((1,)))
+
+    return len(h) + 1, chain
 
 
-def _chain_type1(n: int) -> Permutation:
-    # 12...(n-1) skew 1
-    return skew_sum(_increasing(n - 1), _p((1,)))
-
-
-def _chain_type2(n: int) -> Permutation:
-    if n < 3:
-        raise ValueError("type 2 starts at length 3")
-    return skew_sum(direct_sum(_p((2, 1)), _increasing(n - 3)), _p((1,)))
-
-
-def _chain_type3(n: int) -> Permutation:
-    if n < 4:
-        raise ValueError("type 3 starts at length 4")
-    body = direct_sum(_p((1,)), direct_sum(_p((2, 1)), _increasing(n - 4)))
-    return skew_sum(body, _p((1,)))
-
-
-def _chain_type4(n: int) -> Permutation:
-    if n < 5:
-        raise ValueError("type 4 starts at length 5")
-    body = direct_sum(_p((1, 2)), direct_sum(_p((2, 1)), _increasing(n - 5)))
-    return skew_sum(body, _p((1,)))
-
-
-_WIDE_CHAINS = (_chain_type1, _chain_type2, _chain_type3, _chain_type4)
-
-_NARROW_CHAINS = (
-    lambda n: increasing_oscillation(n, primary=True),
-    lambda n: increasing_oscillation(n, primary=False),
-    head_member,
-    tail_member,
+WIDE = Construction(
+    "wide",
+    tuple(map(_wide_chain, ("", "2 1", "1 3 2", "1 2 4 3"))),
+    {3: ("3 1 2",), 4: ("3 4 2 1", "4 3 2 1"), 5: ("3 2 5 4 1",), 6: ("2 3 4 6 5 1",)},
+    7,
 )
 
-
-def wide_level(n: int) -> list[Permutation]:
-    """Level n of the wide realization poset, most-reusable first; level
-    sizes run 1, 1, 3, 5, 5, 5, 4, 4, ..."""
-    if n < 1:
-        raise ValueError("levels start at 1")
-    if n == 1:
-        return [_p((1,))]
-    if n == 2:
-        return [_p((2, 1))]
-    if n == 3:
-        return [_chain_type1(3), _chain_type2(3), _p((3, 1, 2))]
-    if n == 4:
-        return [
-            _chain_type1(4),
-            _chain_type2(4),
-            _chain_type3(4),
-            _p((3, 4, 2, 1)),
-            _p((4, 3, 2, 1)),
-        ]
-    if n == 5:
-        return [
-            _chain_type1(5),
-            _chain_type2(5),
-            _chain_type3(5),
-            _chain_type4(5),
-            _p((3, 2, 5, 4, 1)),
-        ]
-    level = [chain(n) for chain in _WIDE_CHAINS]
-    if n == 6:
-        level.append(_p((2, 3, 4, 6, 5, 1)))
-    return level
-
-
-def _oscillation_pair(n: int) -> list[Permutation]:
-    a = increasing_oscillation(n, primary=True)
-    if n < 3:  # the two types only diverge from length 3 on
-        return [a]
-    b = increasing_oscillation(n, primary=False)
-    return [a, b]
-
-
-def narrow_level(n: int) -> list[Permutation]:
-    """Level n of the oscillation-based realization, most-reusable first;
-    level sizes run 1, 1, 2, 3, 4, 4, ... (the split-end element that makes
-    a count of 5 possible is added separately)."""
-    if n < 1:
-        raise ValueError("levels start at 1")
-    if n <= 4:
-        pool = _oscillation_pair(n)
-        if n == 4:
-            pool.append(head_member(4))
-        return pool
-    return _oscillation_pair(n) + [head_member(n), tail_member(n)]
-
-
-# each construction: its levels, its infinite chains, and the length from
-# which every level holds just the chains
-_WIDE = (wide_level, _WIDE_CHAINS, 7)
-_NARROW = (narrow_level, _NARROW_CHAINS, 5)
-
-
-def _template(level_of: Callable[[int], list[Permutation]], chains: tuple,
-              chain_min: int) -> SumSequence:
-    """The largest sequence a construction selects from: its level sizes
-    below ``chain_min``, then one member per chain."""
-    return SumSequence([len(level_of(n)) for n in range(1, chain_min)], (len(chains),))
-
-
-_WIDE_TEMPLATE = _template(*_WIDE)
-# without the split-end element that a spike adds
-_NARROW_TEMPLATE = _template(*_NARROW)
+# the two increasing oscillations and two split-end chains; at a spike,
+# realize adds a fifth member, a split-end one, to the level
+NARROW = Construction(
+    "narrow",
+    (
+        (1, increasing_oscillation),
+        (3, lambda n: increasing_oscillation(n, primary=False)),
+        (4, head_member),
+        (5, tail_member),
+    ),
+    {},
+    5,
+)
 
 
 def _narrow_spike(s: SumSequence) -> Optional[int]:
     """If s is dominated by 1,1,2,3,4^{2i},5,4^... for some i >= 0, the
     position of the allowed 5 (or 0 when no term reaches 5); None when not
     dominated by any member of the family."""
-    if s.tail and max(s.tail) > len(_NARROW_CHAINS):
-        return None
+    template = NARROW.template()
     spike = 0
     for n in range(1, s._horizon() + 1):
         v = s.term(n)
-        if v > _NARROW_TEMPLATE.term(n):
+        if v > template.term(n):
             if v == 5 and n >= 5 and n % 2 == 1 and spike == 0:
                 spike = n
             else:
@@ -336,16 +291,24 @@ def _has_late_double_one(s: SumSequence) -> bool:
     return False
 
 
+def _construction_of(s: SumSequence) -> Optional[tuple[Construction, int]]:
+    """The construction that realizes s, with the position of a narrow
+    one's spike (0 for none), or None when neither does."""
+    if dominates(s, WIDE.template()):
+        return WIDE, 0
+    spike = _narrow_spike(s)
+    if spike is None or _has_late_double_one(s):
+        return None
+    return NARROW, spike
+
+
 @dataclass
 class Realization:
     """A class whose sum indecomposable members realize a sequence: the
-    explicit level selections, the infinite chains active in the tail, and
-    the finite basis of the class (all sums of patterns of selections)."""
+    construction it selects from and its finite basis (all sums of patterns
+    of the selections)."""
 
-    kind: str  # "wide" | "narrow" | "named"
-    sequence: SumSequence
-    levels: dict[int, list[Permutation]]
-    chains: tuple[str, ...]
+    kind: str  # "wide" | "narrow"
     spec: ClassSpec
 
 
@@ -380,59 +343,28 @@ def _selection_oracle(
     return oracle
 
 
-# sequences with a preferred hand-picked witness; every entry must have a
-# census that reproduces the sequence (checked in the test suite)
-_NAMED = {
-    SumSequence([1, 1, 2, 3, 4, 3, 1]): (
-        "2 3 1",
-        "4 3 1 2",
-        "4 3 2 1",
-        "5 1 2 3 4",
-    ),
-}
-
-
 def realize(s: SumSequence) -> Realization:
-    """An explicit class realizing ``s``; requires classify(s) to be
-    realizable.  The witness basis is recomputed from the selection and
-    validated downstream by census."""
-    if s in _NAMED:
-        return Realization(
-            "named", s, {}, (), spec_from_strs(*_NAMED[s], label=str(s))
-        )
-    if s.is_zero():
-        return Realization("named", s, {}, (), spec_from_strs("1", label="0"))
-    verdict = classify(s)
-    if verdict.realizable != "yes":
+    """An explicit class realizing ``s``, which must be legal and fit one of
+    the constructions (classify(s) calls it realizable).  Level n selects
+    the first s_n members of the construction's level, which the template
+    guarantees are there, and a tail of value t the first t chains.  The
+    witness basis is recomputed from the selection and validated
+    downstream by census."""
+    chosen = _construction_of(s) if is_legal(s) else None
+    if chosen is None:
         raise ValueError("sequence %s is not known to be realizable" % s)
-    if dominates(s, _WIDE_TEMPLATE):
-        kind = "wide"
-        level_of, chain_fns, chain_min = _WIDE
-        spike = 0
-    else:
-        kind = "narrow"
-        level_of, chain_fns, chain_min = _NARROW
-        spike = _narrow_spike(s) or 0
-    explicit_to = max(len(s.prefix), chain_min)
+    construction, spike = chosen
+    explicit_to = max(len(s.prefix), construction.chain_min)
     levels: dict[int, list[Permutation]] = {}
     for n in range(1, explicit_to + 1):
-        pool = list(level_of(n))
-        count = s.term(n)
+        pool = construction.level(n)
         if n == spike:
             pool.append(split_end_member(n, "Uo"))
-        if count > len(pool):
-            raise ValueError(
-                "no selection of %d elements at level %d" % (count, n)
-            )
-        levels[n] = pool[:count]
-    tail_value = s.term(explicit_to + 1)
-    active = list(chain_fns[:tail_value]) if s.tail else []
-    chain_names = tuple(
-        "%s-chain-%d" % (kind, i + 1) for i in range(len(active))
-    )
-    oracle = _selection_oracle(levels, active, chain_min)
+        levels[n] = pool[: s.term(n)]
+    active = [chain for _, chain in construction.chains[: s.term(explicit_to + 1)]]
+    oracle = _selection_oracle(levels, active, construction.chain_min)
     basis = compute_basis(oracle, max(7, len(s.prefix) + 2))
-    return Realization(kind, s, levels, chain_names, ClassSpec(basis, label=str(s)))
+    return Realization(construction.name, ClassSpec(basis))
 
 
 @dataclass
@@ -485,8 +417,7 @@ def classify(s: SumSequence) -> ClassificationVerdict:
             return no("an even-indexed entry equal to 5")
         if any(s.term(n) == 5 for n in range(1, horizon + 1)) and _has_late_double_one(s):
             return no("contains a 5 but ends with consecutive entries equal to 1")
-    if dominates(s, _WIDE_TEMPLATE):
-        return ClassificationVerdict(True, "yes", "wide construction", growth, position)
-    if _narrow_spike(s) is not None and not _has_late_double_one(s):
-        return ClassificationVerdict(True, "yes", "narrow construction", growth, position)
-    return ClassificationVerdict(True, "no", "outside the characterized region", growth, position)
+    chosen = _construction_of(s)
+    if chosen is None:
+        return no("outside the characterized region")
+    return ClassificationVerdict(True, "yes", "%s construction" % chosen[0].name, growth, position)

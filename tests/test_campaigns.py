@@ -55,9 +55,10 @@ def test_search_1123_extends_a_short_census():
     assert report.artifacts["counterexamples"] == []
 
 
-def test_taper_verify_needs_both_parameters():
-    with pytest.raises(ValueError):
-        run_campaign("taper-verify", {"n": 5})
+def test_taper_verify_looks_up_the_subset_size():
+    report = run_campaign("taper-verify", {"n": 5})
+    assert report.passed
+    assert report.parameters == {"n": 5, "m": 3}
 
 
 def test_accumulation_campaign():

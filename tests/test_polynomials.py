@@ -9,7 +9,6 @@ from permgrowth.polynomials import (
     X,
     format_poly,
     poly_gcd,
-    series_coefficients,
     square_free_part,
 )
 
@@ -79,7 +78,6 @@ def test_series_geometric():
     assert f.series(6) == [1] * 7
     fib = RationalFunction(ONE, IntPolynomial([1, -1, -1]))
     assert fib.series(7) == [1, 1, 2, 3, 5, 8, 13, 21]
-    assert series_coefficients(fib, 7) == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
 def test_rational_function_arithmetic():

@@ -11,8 +11,8 @@ from permgrowth.perms import (
     is_sum_indecomposable,
 )
 from permgrowth.sequences import (
-    _NARROW_CHAINS,
-    _WIDE_CHAINS,
+    NARROW,
+    WIDE,
     _selection_oracle,
     SumSequence,
     class_gf_of_sequence,
@@ -21,10 +21,8 @@ from permgrowth.sequences import (
     gf_of_sequence,
     growth_rate_of_sequence,
     is_legal,
-    narrow_level,
     position_vs_xi,
     realize,
-    wide_level,
 )
 from fractions import Fraction
 
@@ -111,6 +109,8 @@ CLASSIFY_CASES = [
     ("1,1,2,3,4,4,5,6,(4)", True, "no", "outside the characterized region", "above_xi"),
     ("1,1,3,5,(5)", True, "no", "outside the characterized region", "above_xi"),
     ("1,1,2,6", True, "no", "at most 5", "below_xi"),
+    ("1,1,2,3,6", True, "no", "an entry above 5 before any entry equal to 5", "below_xi"),
+    ("0", True, "yes", "empty selection", None),
     ("2,1", False, "no", "illegal", None),
     ("1,2", False, "no", "illegal", None),
 ]
@@ -138,6 +138,7 @@ def test_classify_verdict_serializes():
         ("1,1,2,5,2,1", 9),
         ("1,1,2,3,4,5", 9),
         ("1,(1)", 9),
+        ("1,1,2,3,4,3,1", 10),
     ],
 )
 def test_realize_census_reproduces_sequence(text, check_to):
@@ -158,16 +159,52 @@ def test_realize_table2_family_exactly(i, size, longest):
     assert (len(spec.basis), max(map(len, spec.basis))) == (size, longest)
 
 
+# levels 1..8 of the two realization constructions, most reusable first
+WIDE_LEVELS = [
+    [(1,)],
+    [(2, 1)],
+    [(2, 3, 1), (3, 2, 1), (3, 1, 2)],
+    [(2, 3, 4, 1), (3, 2, 4, 1), (2, 4, 3, 1), (3, 4, 2, 1), (4, 3, 2, 1)],
+    [(2, 3, 4, 5, 1), (3, 2, 4, 5, 1), (2, 4, 3, 5, 1), (2, 3, 5, 4, 1), (3, 2, 5, 4, 1)],
+    [(2, 3, 4, 5, 6, 1), (3, 2, 4, 5, 6, 1), (2, 4, 3, 5, 6, 1), (2, 3, 5, 4, 6, 1),
+     (2, 3, 4, 6, 5, 1)],
+    [(2, 3, 4, 5, 6, 7, 1), (3, 2, 4, 5, 6, 7, 1), (2, 4, 3, 5, 6, 7, 1), (2, 3, 5, 4, 6, 7, 1)],
+    [(2, 3, 4, 5, 6, 7, 8, 1), (3, 2, 4, 5, 6, 7, 8, 1), (2, 4, 3, 5, 6, 7, 8, 1),
+     (2, 3, 5, 4, 6, 7, 8, 1)],
+]
+NARROW_LEVELS = [
+    [(1,)],
+    [(2, 1)],
+    [(2, 3, 1), (3, 1, 2)],
+    [(2, 4, 1, 3), (3, 1, 4, 2), (2, 3, 4, 1)],
+    [(2, 4, 1, 5, 3), (3, 1, 5, 2, 4), (2, 3, 5, 1, 4), (3, 1, 4, 5, 2)],
+    [(2, 4, 1, 6, 3, 5), (3, 1, 5, 2, 6, 4), (2, 3, 5, 1, 6, 4), (2, 4, 1, 5, 6, 3)],
+    [(2, 4, 1, 6, 3, 7, 5), (3, 1, 5, 2, 7, 4, 6), (2, 3, 5, 1, 7, 4, 6), (3, 1, 5, 2, 6, 7, 4)],
+    [(2, 4, 1, 6, 3, 8, 5, 7), (3, 1, 5, 2, 7, 4, 8, 6), (2, 3, 5, 1, 7, 4, 8, 6),
+     (2, 4, 1, 6, 3, 7, 8, 5)],
+]
+
+
 @pytest.mark.parametrize(
-    "level_of,chains,chain_min", [(wide_level, _WIDE_CHAINS, 7), (narrow_level, _NARROW_CHAINS, 5)]
+    "construction,levels,template",
+    [(WIDE, WIDE_LEVELS, "1,1,3,5,5,5,(4)"), (NARROW, NARROW_LEVELS, "1,1,2,3,(4)")],
+    ids=["wide", "narrow"],
 )
-def test_selection_oracle_agrees_with_embedding_search(level_of, chains, chain_min):
+def test_construction_levels_and_templates(construction, levels, template):
+    assert [[p.entries for p in construction.level(n)] for n in range(1, 9)] == levels
+    assert str(construction.template()) == template
+
+
+@pytest.mark.parametrize("construction", [WIDE, NARROW], ids=["wide", "narrow"])
+def test_selection_oracle_agrees_with_embedding_search(construction):
     # the oracle reads the SI patterns of the selections and chains off SI
     # children alone; on SI permutations it must answer as containment does
+    chains = [chain for _, chain in construction.chains]
+    chain_min = construction.chain_min
     for upto in (2, 4):
-        levels = {n: level_of(n)[:2] for n in range(1, upto + 1)}
+        levels = {n: construction.level(n)[:2] for n in range(1, upto + 1)}
         for active in (chains[:1], chains[1:]):
-            oracle = _selection_oracle(levels, list(active), chain_min)
+            oracle = _selection_oracle(levels, active, chain_min)
             flat = [q for level in levels.values() for q in level]
             for k in range(1, 7):
                 texts = flat + [chain(max(chain_min, 2 * k + 6)) for chain in active]
