@@ -47,7 +47,6 @@ from .classes import (
     compute_basis,
     member,
     parse_basis_text,
-    si_sequence,
     spec_from_strs,
 )
 from .insertion import (
@@ -111,7 +110,6 @@ __all__ = [
     "compute_basis",
     "member",
     "parse_basis_text",
-    "si_sequence",
     "spec_from_strs",
     "Automaton",
     "IELetter",

@@ -90,19 +90,9 @@ class AlgebraicNumber:
 
     __slots__ = ("poly", "lo", "hi", "_chain")
 
-    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
-        sf = square_free_part(poly)
-        self._set(sf, sturm_sequence(sf), lo, hi)
-
-    @classmethod
-    def _from_chain(cls, sf: IntPolynomial, chain, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        """The root of the square-free ``sf`` in (lo, hi], reusing ``chain``,
-        the Sturm chain of ``sf``, instead of building it again."""
-        a = object.__new__(cls)
-        a._set(sf, chain, lo, hi)
-        return a
-
-    def _set(self, sf: IntPolynomial, chain, lo: Fraction, hi: Fraction) -> None:
+    def __init__(self, sf: IntPolynomial, chain, lo: Fraction, hi: Fraction):
+        """The root of the square-free ``sf`` in (lo, hi]; ``chain`` is the
+        Sturm chain of ``sf``."""
         object.__setattr__(self, "poly", sf)
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
@@ -117,7 +107,7 @@ class AlgebraicNumber:
     def from_rational(cls, q: Fraction) -> "AlgebraicNumber":
         q = Fraction(q)
         poly = IntPolynomial([-q.numerator, q.denominator])
-        return cls(poly, q - 1, q)
+        return cls(poly, sturm_sequence(poly), q - 1, q)
 
     def refine(self, eps: Fraction) -> None:
         """Shrink the isolating interval to width <= eps (bisection)."""
@@ -237,7 +227,7 @@ def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    return AlgebraicNumber._from_chain(sf, chain, lo, hi)
+    return AlgebraicNumber(sf, chain, lo, hi)
 
 
 def growth_polynomial(f: RationalFunction) -> IntPolynomial:

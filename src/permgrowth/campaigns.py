@@ -339,21 +339,24 @@ def _support(seq: list[int]) -> int:
     return max((n for n, v in enumerate(seq) if v), default=-1)
 
 
-def run_accumulation(eps: Fraction = Fraction(1, 10**9)):
+# the isolation width of the last root and of xi in the accumulation gap
+# test; the report echoes it as its parameter "eps"
+_GAP_WIDTH = Fraction(1, 10**9)
+
+
+def run_accumulation():
     """Largest roots of (x^5-2x^4-x^2-x-1)(x+1)x^(2i+1) - 1 for i = 1..10:
     strictly decreasing, all above xi, with the last within 1/1000 of xi."""
     f = XI_POLY * IntPolynomial([1, 1])
     g = IntPolynomial([-1])
     roots = family_roots(f, g, lambda i: 2 * i + 1, range(1, 11))
     x = xi()
-    for r in roots + [x]:
-        r.refine(eps)
     last = roots[-1]
-    last.refine(Fraction(1, 10**9))
-    x.refine(Fraction(1, 10**9))
+    last.refine(_GAP_WIDTH)
+    x.refine(_GAP_WIDTH)
     close = last.hi - x.lo < Fraction(1, 1000)
     return (
-        {"eps": str(eps)},
+        {"eps": str(_GAP_WIDTH)},
         close,
         {
             "roots": [r.approx(8) for r in roots],
@@ -372,11 +375,7 @@ def run_census(spec: ClassSpec, max_len: int = 8):
     )
 
 
-def run_growth_rate(
-    spec: Optional[ClassSpec] = None,
-    seq: Optional[SumSequence] = None,
-    eps: Fraction = Fraction(1, 10**9),
-):
+def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence] = None):
     if (spec is None) == (seq is None):
         raise ValueError("provide exactly one of a basis or a sequence")
     if spec is not None:
@@ -389,7 +388,6 @@ def run_growth_rate(
         root = growth_rate_of_sequence(seq)
         poly = root.poly
         params = {"sequence": str(seq)}
-    root.refine(eps)
     return (
         params,
         True,
@@ -424,7 +422,6 @@ def _length(keyword: str, lo: int, hi: Optional[int] = None) -> Param:
     return Param("--max-len", keyword, allowed, lambda v: lo <= v and (hi is None or v <= hi))
 
 
-_EPS = Param("--eps", "eps", "above 0", lambda eps: eps > 0)
 _TABLE_INDEX = (_length("max_index", 0, tables.MAX_INDEX),)
 _TAPER_LENGTH = Param(
     "--max-len", "n", "one of %s" % ", ".join(map(str, TAPER_SIZES)),
@@ -457,11 +454,11 @@ REGISTRY: dict[str, Campaign] = {
         "each listed realizable sequence family yields growth rates converging to the threshold constant from below"),
     "xi-basis": Campaign(run_xi_basis, (_length("max_len", len(XI_CLAIM_SEQUENCE)),),
         "an explicit finitely based class realizes the sequence 1,1,2,4,3,3,2,1,0 and attains the threshold growth rate exactly"),
-    "accumulation": Campaign(run_accumulation, (_EPS,),
+    "accumulation": Campaign(run_accumulation, (),
         "the explicit polynomial family has strictly decreasing largest roots accumulating at the threshold constant from above"),
     "census": Campaign(run_census, (Param("--basis", "spec", required=True), _length("max_len", 1)),
         "exact member and sum indecomposable counts of a finitely based class"),
-    "growth-rate": Campaign(run_growth_rate, (Param("--basis", "spec"), Param("--seq", "seq"), _EPS),
+    "growth-rate": Campaign(run_growth_rate, (Param("--basis", "spec"), Param("--seq", "seq")),
         "exact growth rate extraction for a class or sequence"),
     "classify": Campaign(run_classify, (Param("--seq", "seq", required=True),),
         "legality, realizability, and growth position of a sum indecomposable count sequence"),

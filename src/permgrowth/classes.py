@@ -128,11 +128,6 @@ def census(spec: ClassSpec, max_len: int) -> Census:
     return out
 
 
-def si_sequence(spec: ClassSpec, max_len: int) -> list[int]:
-    """SI counts for lengths 1..max_len."""
-    return census(spec, max_len).si_sequence()
-
-
 def compute_basis(
     oracle: Callable[[Permutation], bool],
     max_len: int,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Usage:
-    permgrowth <campaign> [--max-len N] [--eps E] [--out FILE]
-               [--format json|csv] [--basis FILE] [--seq "..."]
+    permgrowth <campaign> [--max-len N] [--out FILE] [--format json|csv]
+               [--basis FILE] [--seq "..."]
 
 The campaigns, their claims and the options each one takes come from
 ``campaigns.REGISTRY``; ``permgrowth --help`` lists them.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from decimal import Decimal
-from fractions import Fraction
 from typing import Optional
 
 from . import _import_started
@@ -28,15 +26,6 @@ from .classes import parse_basis_text
 from .sequences import SumSequence
 
 _import_seconds = time.monotonic() - _import_started
-
-
-def _parse_eps(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            return Fraction(text)
-        return Fraction(Decimal(text))
-    except (ValueError, ArithmeticError) as exc:
-        raise argparse.ArgumentTypeError("bad eps %r" % text) from exc
 
 
 def _read_basis(path: str):
@@ -67,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("campaign", choices=list(REGISTRY))
     parser.add_argument("--max-len", type=int, default=None,
                         help="length bound / table index bound / taper length")
-    parser.add_argument("--eps", type=_parse_eps, default=None,
-                        help="root isolation width (rational or decimal)")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--basis", default=None,
@@ -83,7 +70,7 @@ def _campaign_params(args) -> dict:
     not take raises ValueError."""
     taken = {p.option: p for p in REGISTRY[args.campaign].params}
     params: dict = {}
-    for option in ("--max-len", "--eps", "--basis", "--seq"):
+    for option in ("--max-len", "--basis", "--seq"):
         value = getattr(args, option[2:].replace("-", "_"))
         if value is not None:
             if option not in taken:

@@ -1,13 +1,9 @@
 """Reconstruction of sum indecomposable permutations from their sets of sum
 indecomposable children, plus the exhaustive taper verifications.
-
-Reports serialize to JSON documents ``{checked: int, failures: [...]}`` where
-each failure is a list of permutations in text format.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -67,18 +63,6 @@ class ReconstructionVerdict:
     tag: str  # "unique" | "oscillation_pair" | "no_match"
     matches: tuple[Permutation, ...] = ()
 
-    @classmethod
-    def unique(cls, p: Permutation) -> "ReconstructionVerdict":
-        return cls("unique", (p,))
-
-    @classmethod
-    def oscillation_pair(cls, a: Permutation, b: Permutation) -> "ReconstructionVerdict":
-        return cls("oscillation_pair", tuple(sorted((a, b))))
-
-    @classmethod
-    def no_match(cls) -> "ReconstructionVerdict":
-        return cls("no_match")
-
 
 def reconstruct_from_k(kset: Iterable[Permutation], n: int) -> ReconstructionVerdict:
     """Search for the sum indecomposable permutations of length n whose set
@@ -92,24 +76,20 @@ def reconstruct_from_k(kset: Iterable[Permutation], n: int) -> ReconstructionVer
         if len(p) != n - 1:
             raise ValueError("children must have length n - 1")
         _require_si(p)
-    # every candidate must contain each child, so single-entry insertions
-    # into any one child cover all candidates
-    seed = next(iter(kset))
-    candidates = set()
-    for pos in range(n):
-        for val in range(1, n + 1):
-            candidates.add(seed.insert(pos, val))
+    # a match has every member of kset among its children, and no sum
+    # indecomposable child outside it
+    level = {p.entries for p in kset}
     matches = sorted(
-        c
-        for c in candidates
-        if is_sum_indecomposable(c) and children(c, indecomposable_only=True) == kset
+        Permutation._trusted(c)
+        for c, kids in next_si_level(level).items()
+        if len(kids) == len(level) and si_children_within(c, level)
     )
     if not matches:
-        return ReconstructionVerdict.no_match()
+        return ReconstructionVerdict("no_match")
     if len(matches) == 1:
-        return ReconstructionVerdict.unique(matches[0])
+        return ReconstructionVerdict("unique", tuple(matches))
     if len(matches) == 2 and all(is_increasing_oscillation(m) for m in matches):
-        return ReconstructionVerdict.oscillation_pair(*matches)
+        return ReconstructionVerdict("oscillation_pair", tuple(matches))
     raise AssertionError(
         "K-set collision outside oscillation pairs: %s" % [str(m) for m in matches]
     )
@@ -123,16 +103,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "checked": self.checked,
-                "failures": [[str(p) for p in group] for group in self.failures],
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def sum_indecomposables(n: int) -> list[Permutation]:

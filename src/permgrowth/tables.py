@@ -45,15 +45,13 @@ from .algebraics import (
     largest_real_root,
     xi,
 )
-from .polynomials import IntPolynomial
+from .polynomials import ONE, IntPolynomial
 from .sequences import (
     SumSequence,
     class_gf_of_sequence,
     growth_rate_of_sequence,
     is_legal,
 )
-
-ONE = IntPolynomial([1])
 
 
 def _poly(terms: dict[int, int]) -> IntPolynomial:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from permgrowth.algebraics import largest_real_root
+from permgrowth.algebraics import XI_POLY, family_roots, growth_polynomial, largest_real_root, xi
 from permgrowth.campaigns import run_campaign
 from permgrowth.classes import spec_from_strs
-from permgrowth.sequences import SumSequence, realize
+from permgrowth.insertion import class_gf
+from permgrowth.polynomials import IntPolynomial
+from permgrowth.sequences import SumSequence, growth_rate_of_sequence, realize
 
 
 def test_unknown_campaign_raises():
@@ -102,29 +104,26 @@ def test_growth_rate_campaign_from_sequence():
     assert report.artifacts["position"] == "equal_xi"
 
 
-def test_eps_never_reaches_a_report():
-    # every verdict and digit is exact, so the isolation width of the
-    # printed roots changes nothing but the echoed parameter
+def test_reports_do_not_depend_on_how_far_roots_were_narrowed():
+    # roots are memoized and refined in place, so a run may find its roots
+    # already narrowed by earlier calls; every verdict and printed digit is
+    # exact, so the report is the same from fresh or narrowed roots
+    seq = SumSequence.parse("1,1,2,3,(4)")
     witness = realize(SumSequence([1, 1, 2, 4, 3, 3, 2, 1])).spec
     runs = (
-        ("growth-rate", {"seq": SumSequence.parse("1,1,2,3,(4)")}),
-        ("growth-rate", {"spec": witness}),
-        ("accumulation", {}),
+        ("growth-rate", {"seq": seq}, lambda: [growth_rate_of_sequence(seq)]),
+        ("growth-rate", {"spec": witness},
+         lambda: [largest_real_root(growth_polynomial(class_gf(witness)))]),
+        ("accumulation", {},
+         lambda: family_roots(XI_POLY * IntPolynomial([1, 1]), IntPolynomial([-1]),
+                              lambda i: 2 * i + 1, range(1, 11))),
     )
-    for name, params in runs:
-        # roots are memoized and refined in place, so each run starts from
-        # fresh isolations: eps = 1/2 must see the wide intervals
+    for name, params, roots in runs:
         largest_real_root.cache_clear()
-        default = run_campaign(name, params)
-        for eps in (Fraction(1, 2), Fraction(1, 10**30)):
-            largest_real_root.cache_clear()
-            report = run_campaign(name, {**params, "eps": eps})
-            assert report.artifacts == default.artifacts
-            assert report.status == default.status
-            if name == "accumulation":
-                assert report.parameters == {"eps": str(eps)}
-            else:
-                assert report.parameters == default.parameters
+        fresh = run_campaign(name, params).to_json()
+        for root in [xi()] + roots():
+            root.refine(Fraction(1, 10**30))
+        assert run_campaign(name, params).to_json() == fresh
 
 
 def test_growth_rate_campaign_rejects_ambiguity():

@@ -6,7 +6,6 @@ from permgrowth.classes import (
     compute_basis,
     member,
     parse_basis_text,
-    si_sequence,
     spec_from_strs,
 )
 from permgrowth.perms import all_permutations, contains, parse_permutation
@@ -66,7 +65,7 @@ def test_census_bound_guard():
 
 
 def test_si_sequence_helper():
-    assert si_sequence(spec_from_strs("3 2 1", "2 3 1"), 6) == [1, 1, 1, 1, 1, 1]
+    assert census(spec_from_strs("3 2 1", "2 3 1"), 6).si_sequence() == [1, 1, 1, 1, 1, 1]
 
 
 def test_compute_basis_round_trip():

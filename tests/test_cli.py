@@ -70,12 +70,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["taper-verify", "--max-len", "7"],
         ["recon-verify", "--max-len", "11"],  # above RECON_BOUND
         ["census", "--basis", "/nonexistent/file"],
-        # an isolation width <= 0 would bisect forever
-        ["accumulation", "--eps", "0"],
-        ["accumulation", "--eps", "-1"],
-        ["growth-rate", "--seq", "1,1,2", "--eps", "0"],
         # options the campaign does not take
-        ["table1", "--eps", "1/3"],
         ["accumulation", "--max-len", "4"],
         ["classify", "--seq", "1,1,2", "--max-len", "9"],
         ["census", "--basis", str(basis), "--seq", "1"],
@@ -95,6 +90,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:"), argv
     assert "8-slot limit" in err
+    # no campaign takes an isolation width: every digit is exactly rounded
+    with pytest.raises(SystemExit) as exc:
+        main(["accumulation", "--eps", "1/3"])
+    assert exc.value.code == 2
 
 
 def test_unknown_campaign_is_an_argparse_error(capsys):
@@ -109,15 +108,6 @@ def test_deterministic_output_files(tmp_path):
     assert main(["accumulation", "--out", str(a)]) == 0
     assert main(["accumulation", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_eps_flag_parses_fractions_and_decimals(capsys):
-    assert main(["accumulation", "--eps", "1/1000000"]) == 0
-    capsys.readouterr()
-    assert main(["accumulation", "--eps", "0.000001"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["accumulation", "--eps", "not-a-number"])
 
 
 def test_cli_import_loads_neither_numpy_nor_sympy(tmp_path):

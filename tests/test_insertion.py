@@ -1,7 +1,7 @@
 import pytest
 
 from permgrowth import insertion
-from permgrowth.classes import census, spec_from_strs
+from permgrowth.classes import census, member, spec_from_strs
 from permgrowth.insertion import (
     NotRegular,
     build_automaton,
@@ -76,6 +76,26 @@ def test_eventual_period_rejects_growing_series():
     g = si_gf(class_gf(spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")))
     with pytest.raises(ValueError):
         eventual_period(g)  # Fibonacci growth is not eventually periodic
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ("2 3 1", "4 3 1 2", "4 3 2 1"),  # the Fibonacci class
+        ("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5"),  # from search-112344
+    ],
+)
+def test_automaton_accepts_exactly_the_encodings_of_members(basis):
+    spec = spec_from_strs(*basis)
+    aut = build_automaton(spec)
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            state = aut.initial
+            for letter in encode(p):
+                state = aut.transitions[state].get(str(letter))
+                if state is None:  # the implicit dead sink
+                    break
+            assert (state in aut.accepts) == member(spec, p), str(p)
 
 
 def test_automaton_deterministic_and_minimal_smoke():

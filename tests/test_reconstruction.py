@@ -5,7 +5,6 @@ import pytest
 from permgrowth.perms import (
     children,
     increasing_oscillation,
-    is_sum_indecomposable,
     parse_permutation,
 )
 from permgrowth.reconstruction import (
@@ -57,6 +56,29 @@ def test_reconstruct_round_trip_length_6():
             assert verdict.tag == "unique"
 
 
+def test_reconstruct_from_k_guards():
+    # each input passes every guard but the one named in the match
+    with pytest.raises(ValueError, match="length >= 5"):
+        reconstruct_from_k([P("2 3 1")], 4)
+    with pytest.raises(ValueError, match="empty"):
+        reconstruct_from_k([], 5)
+    with pytest.raises(ValueError, match="n - 1"):
+        reconstruct_from_k([P("2 3 4 1")], 6)
+    with pytest.raises(ValueError, match="not sum indecomposable"):
+        reconstruct_from_k([P("2 3 4 1"), P("2 1 4 3")], 5)  # 2143 = 21 + 21
+
+
+def test_reconstruct_from_k_no_match():
+    # found by brute force: each is a child of 5 2 3 4 1, whose K-set also
+    # holds others, and no sum indecomposable permutation of length 5 has
+    # exactly these two
+    kset = frozenset((P("2 3 4 1"), P("4 1 2 3")))
+    assert all(children(p, indecomposable_only=True) != kset for p in sum_indecomposables(5))
+    verdict = reconstruct_from_k(kset, 5)
+    assert verdict.tag == "no_match"
+    assert verdict.matches == ()
+
+
 def test_verify_reconstruction_counts():
     report = verify_reconstruction(5)
     assert report.passed
@@ -97,10 +119,3 @@ def test_verify_taper_matches_brute_force():
         assert report.checked == len(pool)
 
 
-def test_report_json_round_trip():
-    import json
-
-    report = verify_taper(4, 3)
-    doc = json.loads(report.to_json())
-    assert doc["checked"] == report.checked
-    assert len(doc["failures"]) == len(report.failures)
