@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .perms import (
-    ALTERNATION_KINDS,
     EMPTY,
     Permutation,
     contains,
@@ -22,7 +21,6 @@ from .perms import (
     next_si_level,
     parse_permutation,
     si_children_within,
-    vertical_alternation,
 )
 
 CENSUS_BOUND = 14
@@ -173,20 +171,59 @@ def compute_basis(
     return set(map(Permutation._trusted, basis))
 
 
+# the directions of the bottom and the top half of each kind of vertical
+# alternation (``perms.vertical_alternation``), 1 increasing, -1 decreasing
+_ALTERNATION_HALVES = {
+    "wedge1": (1, -1),
+    "wedge2": (-1, 1),
+    "parallel1": (1, 1),
+    "parallel2": (-1, -1),
+}
+
+
+def embeds_in_alternation(b: Permutation, kind: str) -> bool:
+    """True iff ``b`` is contained in a long enough vertical alternation of
+    ``kind``: some value threshold t splits ``b`` into its entries <= t,
+    monotone in the kind's bottom direction, and its entries > t, monotone
+    in its top direction.
+
+    >>> embeds_in_alternation(Permutation((3, 1, 4, 2)), "parallel1")
+    True
+    >>> embeds_in_alternation(Permutation((3, 2, 1)), "parallel1")
+    False
+    """
+    bottom, top = _ALTERNATION_HALVES[kind]
+    n = len(b)
+    # pos[v - 1] is the position of v; values 1..lo lie monotone bottom,
+    # and values hi+1..n monotone top, in position order
+    pos = sorted(range(n), key=b.entries.__getitem__)
+    lo = min(n, 1)
+    while lo < n and (pos[lo] - pos[lo - 1]) * bottom > 0:
+        lo += 1
+    hi = max(n - 1, 0)
+    while hi > 0 and (pos[hi] - pos[hi - 1]) * top > 0:
+        hi -= 1
+    return hi <= lo
+
+
 def has_regular_insertion_encoding(spec: ClassSpec) -> bool:
     """True iff the class contains no arbitrarily long vertical alternation:
-    each of the four alternation families must meet the basis.
+    for each of the four kinds, some basis element embeds in an alternation
+    of that kind (Albert, Linton and Ruškuc 2005).
 
-    Each family is a chain under containment, so checking one sufficiently
-    long member per family decides containment of arbitrarily long ones.
+    An alternation of a kind is a bottom half of small values and a top half
+    of large ones, each monotone in the kind's direction, with positions
+    alternating bottom, top, bottom, ...  Its value threshold splits any
+    embedded pattern into two such monotone parts.  Conversely, if a
+    threshold t splits ``b`` that way, an alternation of length 2|b| has a
+    bottom and a top slot for each entry of ``b``, in order, so ``b`` embeds
+    however its two parts interleave in position.  So the split test of
+    :func:`embeds_in_alternation` decides what a containment probe in an
+    alternation of length 2|b| + 4 decides, without the embedding search.
     """
     if not spec.basis:
         raise ValueError("the class of all permutations is not supported")
-    if EMPTY in spec.basis:
-        return True
-    cutoff = 2 * max(len(b) for b in spec.basis) + 4
-    for kind in ALTERNATION_KINDS:
-        probe = vertical_alternation(cutoff, kind)
-        if all(not contains(b, probe) for b in spec.basis):
-            return False
-    return True
+    return all(
+        any(embeds_in_alternation(b, kind) for b in spec.basis)
+        for kind in _ALTERNATION_HALVES
+    )

@@ -21,6 +21,7 @@ object, and the cache is cleared once it holds ``_STEP_CACHE_CAP`` steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,6 +30,8 @@ from .perms import Permutation
 from .polynomials import ONE, IntPolynomial, RationalFunction
 
 ACTIONS = ("f", "l", "r", "m")
+# how each action changes the number of open slots
+_SLOT_DELTA = {"f": -1, "l": 0, "r": 0, "m": 1}
 
 
 class NotRegular(ValueError):
@@ -297,7 +300,7 @@ def build_automaton(spec: ClassSpec) -> Automaton:
 
     def step(state, action: str, j: int):
         s, sets = state
-        s_new = s + {"f": -1, "m": 1}.get(action, 0)
+        s_new = s + _SLOT_DELTA[action]
         new_sets = []
         for sigs, table in zip(sets, tables):
             stepped = _cached_step(sigs, table, action, j)
@@ -332,7 +335,7 @@ def build_automaton(spec: ClassSpec) -> Automaton:
         s, sets = state
         here = transitions[ids[state]]
         for action in ACTIONS:
-            s_new = s + {"f": -1, "m": 1}.get(action, 0)
+            s_new = s + _SLOT_DELTA[action]
             if s_new > SLOT_CAP:
                 raise SlotBoundExceeded(
                     "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
@@ -397,49 +400,59 @@ def _minimize(aut: Automaton) -> Automaton:
     return Automaton(remap[block[aut.initial]], accepts, transitions)
 
 
+def _berlekamp_massey(s: list[int]) -> tuple[list[int], int]:
+    """Length L and connection polynomial C (ascending, C[0] != 0, padded
+    to L + 1 coefficients) of the shortest linear recurrence
+    sum_i C[i] s[n - i] = 0 (n >= L) that generates ``s`` (Massey 1969).
+
+    Integer form: where the field algorithm subtracts d/b times x^m B from
+    C, this one scales C by b and subtracts d x^m B, then divides out the
+    content, so every quantity stays an integer and no fraction is built.
+
+    >>> _berlekamp_massey([1, 1, 2, 3, 5, 8])
+    ([1, -1, -1], 2)
+    """
+    C, B = [1], [1]
+    L, m, b = 0, 1, 1
+    for n in range(len(s)):
+        d = sum(C[i] * s[n - i] for i in range(min(len(C), n + 1)))
+        if d == 0:
+            m += 1
+            continue
+        T = C
+        C = [b * c for c in C] + [0] * max(0, len(B) + m - len(C))
+        for i, c in enumerate(B):
+            C[i + m] -= d * c
+        g = math.gcd(*C)
+        C = [c // g for c in C]
+        if 2 * L <= n:
+            L, B, b, m = n + 1 - L, T, d, 1
+        else:
+            m += 1
+    return (C + [0] * L)[: L + 1], L
+
+
 def gf_from_automaton(aut: Automaton) -> RationalFunction:
     """Generating function of the class: 1 (empty permutation) plus the
-    length generating function of the accepted words, by state elimination
-    over exact rational functions."""
-    one = RationalFunction.from_poly(ONE)
-    x = RationalFunction.from_poly(IntPolynomial([0, 1]))
-    zero = RationalFunction(IntPolynomial([]), ONE)
-    n = aut.num_states
-    END = n
-    edges: dict[tuple[int, int], RationalFunction] = {}
+    length generating function of the accepted words.
 
-    def add(u: int, v: int, w: RationalFunction) -> None:
-        if (u, v) in edges:
-            edges[(u, v)] = edges[(u, v)] + w
-        else:
-            edges[(u, v)] = w
-
-    for q, trans in enumerate(aut.transitions):
-        counts: dict[int, int] = {}
-        for target in trans.values():
-            counts[target] = counts.get(target, 0) + 1
-        for target, c in counts.items():
-            add(q, target, RationalFunction(IntPolynomial([0, c]), ONE))
-    for q in aut.accepts:
-        add(q, END, one)
-    for q in range(n):
-        if q == aut.initial:
-            continue
-        loop = edges.pop((q, q), zero)
-        factor = one / (one - loop)
-        incoming = [(u, w) for (u, v), w in edges.items() if v == q]
-        outgoing = [(v, w) for (u, v), w in edges.items() if u == q]
-        for (u, _) in incoming:
-            edges.pop((u, q))
-        for (v, _) in outgoing:
-            edges.pop((q, v), None)
-        for u, w1 in incoming:
-            for v, w2 in outgoing:
-                add(u, v, w1 * factor * w2)
-    loop = edges.pop((aut.initial, aut.initial), zero)
-    direct = edges.pop((aut.initial, END), zero)
-    words = (one / (one - loop)) * direct
-    return one + words
+    It is read off the counts of lengths 0..2N + 2, N = ``aut.num_states``,
+    which fix it for all n.  With A the transfer matrix and u, v the
+    initial and accepting indicator vectors, G = 1 + u^T (I - xA)^(-1) v,
+    so by Cramer's rule G = P/D with D = det(I - xA) and deg P, deg D <= N:
+    the counts satisfy a linear recurrence of length at most N + 1.  Two
+    recurrences of lengths L1 and L2 that agree on L1 + L2 terms generate
+    the same sequence, so the shortest recurrence of the 2N + 3 counts,
+    which Berlekamp–Massey returns with its length L <= N + 1 and its
+    connection polynomial Q, generates every count: G = (Q G mod x^L) / Q.
+    ``RationalFunction`` is canonical (coprime, with normalized content and
+    sign), so the result does not depend on how it was found.
+    """
+    s = aut.count_words(2 * aut.num_states + 2)
+    s[0] += 1
+    Q, L = _berlekamp_massey(s)
+    P = [sum(Q[i] * s[k - i] for i in range(k + 1)) for k in range(L)]
+    return RationalFunction(IntPolynomial(P), IntPolynomial(Q))
 
 
 def class_gf(spec: ClassSpec) -> RationalFunction:

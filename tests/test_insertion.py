@@ -1,7 +1,15 @@
 import pytest
+from test_acceptance import XI_WITNESS_BASIS
 
 from permgrowth import insertion
-from permgrowth.classes import census, member, spec_from_strs
+from permgrowth.campaigns import _candidates_112344
+from permgrowth.classes import (
+    census,
+    embeds_in_alternation,
+    has_regular_insertion_encoding,
+    member,
+    spec_from_strs,
+)
 from permgrowth.insertion import (
     NotRegular,
     build_automaton,
@@ -10,10 +18,17 @@ from permgrowth.insertion import (
     decode,
     encode,
     eventual_period,
+    gf_from_automaton,
     si_gf,
 )
-from permgrowth.classes import has_regular_insertion_encoding
-from permgrowth.perms import all_permutations, parse_permutation
+from permgrowth.perms import (
+    ALTERNATION_KINDS,
+    all_permutations,
+    contains,
+    parse_permutation,
+    vertical_alternation,
+)
+from permgrowth.polynomials import IntPolynomial, RationalFunction
 
 
 def test_encode_decode_examples():
@@ -37,6 +52,15 @@ def test_regularity_detector():
     assert not has_regular_insertion_encoding(spec_from_strs("3 2 1"))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_split_rule_matches_the_alternation_probe(n):
+    # the value split decides what containment in a long alternation does
+    for p in all_permutations(n):
+        for kind in ALTERNATION_KINDS:
+            probe = vertical_alternation(2 * n + 4, kind)
+            assert embeds_in_alternation(p, kind) == contains(p, probe), (str(p), kind)
+
+
 def test_build_automaton_rejects_irregular_class():
     with pytest.raises(NotRegular):
         build_automaton(spec_from_strs("3 2 1"))
@@ -58,6 +82,38 @@ def test_class_gf_matches_census(basis):
     assert f.series(10) == c.member_counts
     g = si_gf(f)
     assert g.series(10)[1:] == c.si_sequence()
+
+
+def _certificate_specs():
+    yield from _candidates_112344()
+    yield spec_from_strs("1")
+    yield spec_from_strs("1 2")
+    yield spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")  # the Fibonacci class
+    yield spec_from_strs(*XI_WITNESS_BASIS)
+
+
+def test_gf_from_automaton_is_certified_past_the_terms_it_reads():
+    # the g.f. is read from 2N + 3 word counts; its series must go on to
+    # agree with the automaton, and with an independent census
+    for spec in _certificate_specs():
+        aut = build_automaton(spec)
+        gf = gf_from_automaton(aut)
+        n = 3 * aut.num_states + 5
+        assert gf.series(n) == [1] + aut.count_words(n)[1:], spec
+        assert class_gf(spec).series(10) == census(spec, 10).member_counts, spec
+    x = IntPolynomial([0, 1])
+    one = IntPolynomial([1])
+    assert class_gf(spec_from_strs("1")) == RationalFunction(one, one)
+    assert class_gf(spec_from_strs("1 2")) == RationalFunction(one, one - x)
+
+
+def test_berlekamp_massey_finds_the_shortest_recurrence():
+    assert insertion._berlekamp_massey([1, 1, 2, 3, 5, 8, 13, 21]) == ([1, -1, -1], 2)
+    # 1/(1 - 2x) needs a scaled update: the first discrepancy is 1, then 2
+    Q, L = insertion._berlekamp_massey([1, 2, 4, 8, 16, 32])
+    assert L == 1 and Q[1] == -2 * Q[0]
+    # x^3: length 4, longer than the connection polynomial 1
+    assert insertion._berlekamp_massey([0, 0, 0, 1, 0, 0, 0, 0]) == ([1, 0, 0, 0, 0], 4)
 
 
 def test_si_gf_periodic_class():

@@ -2,15 +2,23 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations as all_tuples
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from permgrowth import insertion
 from permgrowth.algebraics import count_real_roots, largest_real_root, root_bound
-from permgrowth.classes import ClassSpec, census, compute_basis, member
-from permgrowth.insertion import decode, encode
+from permgrowth.classes import (
+    ClassSpec,
+    census,
+    compute_basis,
+    has_regular_insertion_encoding,
+    member,
+)
+from permgrowth.insertion import SlotBoundExceeded, class_gf, decode, encode, si_gf
 from permgrowth.perms import (
     Permutation,
     contains,
@@ -241,6 +249,32 @@ si_basis_elements = (
 def test_compute_basis_recovers_random_sum_closed_classes(basis):
     spec = ClassSpec(map(Permutation, basis))
     assert compute_basis(lambda p: member(spec, p), 6) == spec.basis
+
+
+# 1 to 3 permutations of length 3 to 5
+basis_elements = (
+    st.integers(3, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+)
+
+
+# most small bases are not regular, above all the short lists drawn first
+@given(st.lists(basis_elements, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_class_gf_matches_census_on_random_regular_classes(basis):
+    spec = ClassSpec(map(Permutation, basis))
+    assume(has_regular_insertion_encoding(spec))
+    # a build that opens 7 or 8 slots can take 20 s (Av(1432, 12345, 13524),
+    # 592 states), so this test refuses those classes, as the program
+    # refuses more than SLOT_CAP slots
+    try:
+        with mock.patch.object(insertion, "SLOT_CAP", 6):
+            f = class_gf(spec)
+    except SlotBoundExceeded:
+        reject()
+    c = census(spec, 8)
+    assert f.series(8) == c.member_counts
+    if all(map(_si, basis)):  # an SI basis gives a sum closed class
+        assert si_gf(f).series(8) == c.si_counts
 
 
 # random integer polynomials of degree <= 8, coefficients in -20..20; the
