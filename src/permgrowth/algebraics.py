@@ -280,14 +280,10 @@ def family_roots(
 
     When g is negative just right of f's largest root r, the roots decrease
     strictly toward r from above; that is asserted, and violations raise
-    (signalling use outside the intended hypotheses).  g = 0 trivially gives
-    r for every i.
+    (signalling use outside the intended hypotheses).
     """
-    i_list = list(i_range)
     r = largest_real_root(f)
-    if g.is_zero():
-        return [largest_real_root(f) for _ in i_list]
-    roots = [largest_real_root(f * IntPolynomial.monomial(shift(i)) + g) for i in i_list]
+    roots = [largest_real_root(f * IntPolynomial.monomial(shift(i)) + g) for i in i_range]
     for a, b in zip(roots, roots[1:]):
         if not compare(b, a) < 0:
             raise ValueError("family roots are not strictly decreasing")

@@ -28,7 +28,7 @@ from .algebraics import (
     largest_real_root,
     xi,
 )
-from .classes import ClassSpec, census, spec_from_strs
+from .classes import CENSUS_BOUND, ClassSpec, census, spec_from_strs
 from .insertion import class_gf, eventual_period, si_gf
 from .polynomials import IntPolynomial
 from .reconstruction import RECON_BOUND, verify_reconstruction, verify_taper
@@ -274,14 +274,13 @@ def run_taper_verify(n: Optional[int] = None):
 
 def run_table(which: int, max_index: int = 6):
     report = tables.verify_table(which, max_index)
-    entries = tables.table_rows(which, max_index)
     return (
         {"max_index": max_index},
         report["passed"],
         {
             "rows": report["checked"],
             "problems": report["problems"],
-            "csv": tables.entries_to_csv(entries),
+            "csv": tables.entries_to_csv(report["rows"]),
         },
     )
 
@@ -308,12 +307,10 @@ def run_xi_basis(max_len: int = 12):
     quoted = spec_from_strs(*XI_CLAIM_BASIS)
     observed = census(quoted, max_len).si_sequence()
     claimed = list(XI_CLAIM_SEQUENCE) + [0] * (max_len - len(XI_CLAIM_SEQUENCE))
-    quoted_growth = growth_rate_of_sequence(
-        SumSequence(observed[: _support(observed) + 1])
-    )
+    quoted_growth = growth_rate_of_sequence(SumSequence(observed))
     quoted_ok = observed == claimed and compare(quoted_growth, xi()) == 0
 
-    target = SumSequence(list(XI_CLAIM_SEQUENCE[:-1]))
+    target = SumSequence(XI_CLAIM_SEQUENCE)
     construction = realize(target)
     built_observed = census(construction.spec, max_len).si_sequence()
     built_growth = growth_rate_of_sequence(target)
@@ -333,10 +330,6 @@ def run_xi_basis(max_len: int = 12):
         "construction_matches_claim": built_ok,
     }
     return {"max_len": max_len}, quoted_ok and built_ok, artifacts
-
-
-def _support(seq: list[int]) -> int:
-    return max((n for n, v in enumerate(seq) if v), default=-1)
 
 
 # the isolation width of the last root and of xi in the accumulation gap
@@ -416,10 +409,9 @@ class Param:
     required: bool = False
 
 
-def _length(keyword: str, lo: int, hi: Optional[int] = None) -> Param:
-    """``--max-len`` feeding ``keyword``: an integer in lo..hi, or >= lo if hi is None."""
-    allowed = "%d..%d" % (lo, hi) if hi is not None else "at least %d" % lo
-    return Param("--max-len", keyword, allowed, lambda v: lo <= v and (hi is None or v <= hi))
+def _length(keyword: str, lo: int, hi: int) -> Param:
+    """``--max-len`` feeding ``keyword``: an integer in lo..hi."""
+    return Param("--max-len", keyword, "%d..%d" % (lo, hi), lambda v: lo <= v <= hi)
 
 
 _TABLE_INDEX = (_length("max_index", 0, tables.MAX_INDEX),)
@@ -440,7 +432,7 @@ REGISTRY: dict[str, Campaign] = {
         "sets of sum indecomposable children determine their parent, up to the one pair of same-length increasing oscillations"),
     "taper-verify": Campaign(run_taper_verify, (_TAPER_LENGTH,),
         "small sets of sum indecomposable permutations have child sets almost as large"),
-    "search-1123": Campaign(run_search_1123, (_length("census_len", 1),),
+    "search-1123": Campaign(run_search_1123, (_length("census_len", 1, CENSUS_BOUND),),
         "no class whose sum indecomposable counts start 1,1,2,3 shows a count above 5 before a count of 5"),
     "search-112344": Campaign(run_search_112344, (),
         "exactly two classes with counts starting 1,1,2,3,4,4 ever reach a count of 5, and they are inverses"),
@@ -452,11 +444,11 @@ REGISTRY: dict[str, Campaign] = {
         "each listed realizable sequence yields a growth rate below the threshold constant"),
     "table4": Campaign(partial(run_table, 4), _TABLE_INDEX,
         "each listed realizable sequence family yields growth rates converging to the threshold constant from below"),
-    "xi-basis": Campaign(run_xi_basis, (_length("max_len", len(XI_CLAIM_SEQUENCE)),),
+    "xi-basis": Campaign(run_xi_basis, (_length("max_len", len(XI_CLAIM_SEQUENCE), CENSUS_BOUND),),
         "an explicit finitely based class realizes the sequence 1,1,2,4,3,3,2,1,0 and attains the threshold growth rate exactly"),
     "accumulation": Campaign(run_accumulation, (),
         "the explicit polynomial family has strictly decreasing largest roots accumulating at the threshold constant from above"),
-    "census": Campaign(run_census, (Param("--basis", "spec", required=True), _length("max_len", 1)),
+    "census": Campaign(run_census, (Param("--basis", "spec", required=True), _length("max_len", 1, CENSUS_BOUND)),
         "exact member and sum indecomposable counts of a finitely based class"),
     "growth-rate": Campaign(run_growth_rate, (Param("--basis", "spec"), Param("--seq", "seq")),
         "exact growth rate extraction for a class or sequence"),

@@ -475,12 +475,13 @@ _MAX_PERIOD = 12
 def eventual_period(f: RationalFunction) -> tuple[list[int], int]:
     """Smallest period P <= _MAX_PERIOD with f * (1 - x^P) polynomial,
     together with the coefficient prefix that determines the whole series
-    (everything beyond it repeats with period P).  Raises if none exists."""
-    one_minus = lambda P: IntPolynomial([1] + [0] * (P - 1) + [-1])
+    (everything beyond it repeats with period P).  Raises if none exists.
+
+    f is in lowest terms, so f * (1 - x^P) is a polynomial iff f.den divides
+    1 - x^P; that polynomial has degree deg num + P - deg den."""
     for P in range(1, _MAX_PERIOD + 1):
-        g = f * RationalFunction.from_poly(one_minus(P))
-        if g.den == ONE:
-            D = g.num.degree
+        if f.den.divides(IntPolynomial([1] + [0] * (P - 1) + [-1])):
+            D = f.num.degree + P - f.den.degree
             return f.series(max(D, 0) + P), P
     raise ValueError("series is not eventually periodic with period <= %d" % _MAX_PERIOD)
 

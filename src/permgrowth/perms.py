@@ -346,17 +346,14 @@ def sum_components(p: Permutation) -> list[Permutation]:
     return parts
 
 
-def children(p: Permutation, indecomposable_only: bool = False) -> frozenset[Permutation]:
-    """Distinct single-entry deletion patterns of ``p``; with
-    ``indecomposable_only`` this is the set K(p) of sum indecomposable
-    children."""
+def children(p: Permutation) -> frozenset[Permutation]:
+    """The set K(p) of sum indecomposable children of ``p``: its distinct
+    single-entry deletion patterns that are sum indecomposable."""
     if len(p) == 0:
         raise ValueError("the empty permutation has no children")
     t = p.entries
     kids = {delete_entry(t, i) for i in range(len(t))}
-    if indecomposable_only:
-        kids = filter(is_si_entries, kids)
-    return frozenset(map(Permutation._trusted, kids))
+    return frozenset(map(Permutation._trusted, filter(is_si_entries, kids)))
 
 
 @dataclass(frozen=True)

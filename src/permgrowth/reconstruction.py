@@ -35,7 +35,7 @@ def _require_si(p: Permutation) -> None:
 def k_class(p: Permutation) -> int:
     """|K(p)|, the number of distinct sum indecomposable children."""
     _require_si(p)
-    return len(children(p, indecomposable_only=True))
+    return len(children(p))
 
 
 def k1_members(n: int) -> set[Permutation]:
@@ -136,7 +136,7 @@ def verify_reconstruction(n: int) -> Report:
         group = sorted(Permutation._trusted(c) for c in group)
         kset = frozenset(map(Permutation._trusted, kids))
         for p in group:
-            if children(p, indecomposable_only=True) != kset:
+            if children(p) != kset:
                 raise AssertionError("K-set of %r differs between insertion and deletion" % str(p))
         if len(group) == 2 and all(is_increasing_oscillation(p) for p in group):
             continue
@@ -179,7 +179,7 @@ def verify_taper(n: int, m: int) -> Report:
     if n < 4:
         raise ValueError("n must be at least 4")
     pool = k_bounded_members(n, m - 1)
-    ksets = {p: children(p, indecomposable_only=True) for p in pool}
+    ksets = {p: children(p) for p in pool}
     universe = sorted({c for ks in ksets.values() for c in ks})
     index = {c: i for i, c in enumerate(universe)}
     masks = {p: sum(1 << index[c] for c in ksets[p]) for p in pool}

@@ -333,7 +333,7 @@ def _selection_oracle(
         for top in [q for q in flat if len(q) >= k] + [chain(n) for chain in chains]:
             level = {top}
             for _ in range(len(top) - k):
-                level = {c for q in level for c in children(q, indecomposable_only=True)}
+                level = {c for q in level for c in children(q)}
             found |= level
         return frozenset(found)
 

@@ -19,7 +19,10 @@ label first names them:
 >>> _sequence_of(terms, tail, {"i": 2})
 SumSequence('1,1,3,2,2,(1)')
 
-Verification per instantiated row:
+``table_rows`` instantiates a table once: every row template in table
+order, each parameter assignment up to the index bound, deduplicated on the
+pair (sequence, polynomial) and sorted by growth rate.  ``verify_table``
+checks the entries it returns.  Verification per instantiated row:
 
 * the stated polynomial agrees with the reciprocal of the denominator of
   the class generating function computed from the sequence, after both
@@ -35,7 +38,7 @@ Verification per instantiated row:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebraics import (
@@ -87,6 +90,7 @@ class TableEntry:
     polynomial: IntPolynomial
     growth: float
     position: str
+    row: RowTemplate = field(compare=False, repr=False)  # the template it instantiates
 
 
 def _parse(family: str) -> tuple[tuple, Optional[int], tuple]:
@@ -358,24 +362,6 @@ def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
     return compare(largest_real_root(base), xi()) < 0
 
 
-def _instances(which: int, max_index: int):
-    """Each row template of the table with its parameter names and the
-    instances it adds: the (assignment, sequence, stated polynomial) triples
-    whose pair (sequence, polynomial) no earlier instance of the table has."""
-    seen = set()
-    for row in TABLES[which]:
-        terms, tail, names = _parse(row.family)
-        fresh = []
-        for pv in _assignments(names, row.params, max_index):
-            seq = _sequence_of(terms, tail, pv)
-            stated = row.poly(pv)
-            key = (str(seq), stated.coeffs)
-            if key not in seen:
-                seen.add(key)
-                fresh.append((pv, seq, stated))
-        yield row, names, fresh
-
-
 def _by_growth(e: TableEntry) -> tuple:
     return (e.growth, str(e.sequence), e.polynomial.coeffs)
 
@@ -383,30 +369,33 @@ def _by_growth(e: TableEntry) -> tuple:
 def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
     """All instantiated rows of the given table, deduplicated on the pair
     (sequence, polynomial) and sorted by growth rate."""
-    entries = [
-        TableEntry(
-            which, row.family,
-            tuple(sorted(pv.items())),
-            seq, stated,
-            _float_largest_root(stated),
-            row.position,
-        )
-        for row, _, fresh in _instances(which, max_index)
-        for pv, seq, stated in fresh
-    ]
+    seen = set()
+    entries = []
+    for row in TABLES[which]:
+        terms, tail, names = _parse(row.family)
+        for pv in _assignments(names, row.params, max_index):
+            seq = _sequence_of(terms, tail, pv)
+            stated = row.poly(pv)
+            key = (str(seq), stated.coeffs)
+            if key not in seen:
+                seen.add(key)
+                entries.append(TableEntry(
+                    which, row.family, tuple(sorted(pv.items())), seq, stated,
+                    _float_largest_root(stated), row.position, row,
+                ))
     entries.sort(key=_by_growth)
     return entries
 
 
-def _check_position(row: RowTemplate, pv: dict, stated: IntPolynomial) -> bool:
-    if row.position == "at":
+def _check_position(e: TableEntry) -> bool:
+    if e.position == "at":
         # the stated polynomial must literally define xi; the core identity
         # ties the sequence's growth to it
-        return stated == XI_POLY
-    if row.position == "below" and row.base is not None:
-        return _certified_below_xi(stated, row.base(pv))
-    c = compare(largest_real_root(stated), xi())
-    return c > 0 if row.position == "above" else c < 0
+        return e.polynomial == XI_POLY
+    if e.position == "below" and e.row.base is not None:
+        return _certified_below_xi(e.polynomial, e.row.base(dict(e.assignment)))
+    c = compare(largest_real_root(e.polynomial), xi())
+    return c > 0 if e.position == "above" else c < 0
 
 
 def _exact_growth_matches(s: SumSequence, stated: IntPolynomial) -> bool:
@@ -417,49 +406,47 @@ def _exact_growth_matches(s: SumSequence, stated: IntPolynomial) -> bool:
 
 
 def verify_table(which: int, max_index: int = 6) -> dict:
-    """Check every instantiated row of a table: sequence legality, the
-    stated polynomial against the sequence's generating function, the
-    position of its greatest real root relative to xi, and (for convergent
-    families) monotone approach to the stated limit.  Returns a report
-    dictionary with any failures listed."""
+    """Check every row ``table_rows`` builds for a table: sequence legality,
+    the stated polynomial against the sequence's generating function, and
+    the position of its greatest real root relative to xi; then, for each
+    convergent family, monotone approach to the stated limit.  Returns a
+    report dictionary with the checked rows and any failures listed."""
+    rows = table_rows(which, max_index)
     problems: list[str] = []
-    checked = 0
-    for row, names, fresh in _instances(which, max_index):
-        for pv, seq, stated in fresh:
-            checked += 1
-            label = "%s %s" % (row.family, sorted(pv.items()))
-            if not is_legal(seq):
-                problems.append("%s: sequence %s is illegal" % (label, seq))
-                continue
-            if _strip_trivial(stated) != _computed_core(seq):
-                # fall back to the exact factor test before declaring failure
-                if not _exact_growth_matches(seq, stated):
-                    problems.append(
-                        "%s: stated polynomial disagrees with the sequence"
-                        % label
-                    )
-                    continue
-            if not _check_position(row, pv, stated):
+    for e in rows:
+        label = "%s %s" % (e.family, list(e.assignment))
+        if not is_legal(e.sequence):
+            problems.append("%s: sequence %s is illegal" % (label, e.sequence))
+            continue
+        if _strip_trivial(e.polynomial) != _computed_core(e.sequence):
+            # fall back to the exact factor test before declaring failure
+            if not _exact_growth_matches(e.sequence, e.polynomial):
                 problems.append(
-                    "%s: root is not %s xi" % (label, row.position)
+                    "%s: stated polynomial disagrees with the sequence" % label
                 )
+                continue
+        if not _check_position(e):
+            problems.append("%s: root is not %s xi" % (label, e.position))
+    for row in TABLES[which]:
         if row.limit is not None:
-            err = _check_convergence(row, names, max_index)
+            err = _check_convergence(row, max_index)
             if err:
                 problems.append("%s: %s" % (row.family, err))
     return {
         "table": which,
-        "checked": checked,
+        "checked": len(rows),
+        "rows": rows,
         "problems": problems,
         "passed": not problems,
     }
 
 
-def _check_convergence(row: RowTemplate, names: tuple, max_index: int) -> Optional[str]:
+def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
     approach the family limit monotonically from the side ``row.position``
     names, and, once the values reach the last listed index, come within
     0.05 of it."""
+    names = _parse(row.family)[2]
     name = names[0]
     listed = row.params[0]
     values = [v for v in listed if v <= max_index]
@@ -488,7 +475,7 @@ def enumerate_below_xi(max_index: int = 6) -> list[TableEntry]:
     problems = [p for r in reports for p in r["problems"]]
     if problems:
         raise AssertionError("table verification failed: %s" % problems[:5])
-    entries = table_rows(3, max_index) + table_rows(4, max_index)
+    entries = [e for r in reports for e in r["rows"]]
     entries.sort(key=_by_growth)
     return entries
 

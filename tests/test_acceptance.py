@@ -93,7 +93,7 @@ def test_taper_breaks_at_eleven():
     for group in report.failures:
         union = set()
         for p in group:
-            union |= children(p, indecomposable_only=True)
+            union |= children(p)
         assert len(union) < 5
 
 
@@ -291,14 +291,11 @@ def test_domination_implies_growth_monotonicity():
 
 def _sub_closure_si_counts(p):
     # census of Sub(p): close downward under single-entry deletion
-    from permgrowth.perms import children, is_sum_indecomposable
+    from permgrowth.perms import is_sum_indecomposable
 
     levels = {len(p): {p}}
     for n in range(len(p), 1, -1):
-        below = set()
-        for q in levels[n]:
-            below |= children(q)
-        levels[n - 1] = below
+        levels[n - 1] = {q.delete(i) for q in levels[n] for i in range(n)}
     return [
         sum(1 for q in levels[n] if is_sum_indecomposable(q))
         for n in range(1, len(p) + 1)

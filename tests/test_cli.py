@@ -81,14 +81,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["census", "--basis", str(basis), "--max-len", "-2"],
         ["census", "--basis", str(basis), "--max-len", "0"],
         ["xi-basis", "--max-len", "8"],  # the claim has 9 terms
+        # above the census bound
+        ["census", "--basis", str(basis), "--max-len", "15"],
+        ["search-1123", "--max-len", "15"],
+        ["xi-basis", "--max-len", "15"],
         ["recon-verify", "--max-len", "4"],
         ["taper-verify", "--max-len", "3"],
         ["growth-rate", "--basis", str(alternations)],
     ]
+    errors = []
     for argv in cases:
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:"), argv
+        errors.append(err)
+    assert "error: census --max-len must be 1..14\n" in errors
     assert "8-slot limit" in err
     # no campaign takes an isolation width: every digit is exactly rounded
     with pytest.raises(SystemExit) as exc:

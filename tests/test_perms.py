@@ -81,7 +81,7 @@ def _si_level(n):
 
 
 def _k(t):
-    return {c.entries for c in children(Permutation(t), indecomposable_only=True)}
+    return {c.entries for c in children(Permutation(t))}
 
 
 def test_next_si_level_gives_every_si_permutation_with_its_k_set():
@@ -116,10 +116,9 @@ def test_direct_sum_and_components_round_trip():
 
 
 def test_children_of_increasing():
-    assert children(P("1 2 3")) == frozenset({P("1 2")})
-    assert children(P("2 3 1"), indecomposable_only=True) == frozenset(
-        {P("2 1")}
-    )
+    # 12 is the only child of 123, and it is sum decomposable
+    assert children(P("1 2 3")) == frozenset()
+    assert children(P("2 3 1")) == frozenset({P("2 1")})
 
 
 def test_monotone_quotient_blocks():

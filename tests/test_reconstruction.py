@@ -47,7 +47,7 @@ def test_is_increasing_oscillation():
 
 def test_reconstruct_round_trip_length_6():
     for p in sum_indecomposables(6):
-        verdict = reconstruct_from_k(children(p, indecomposable_only=True), 6)
+        verdict = reconstruct_from_k(children(p), 6)
         assert p in verdict.matches
         # ambiguity only for the oscillation pair
         if verdict.tag == "oscillation_pair":
@@ -73,7 +73,7 @@ def test_reconstruct_from_k_no_match():
     # holds others, and no sum indecomposable permutation of length 5 has
     # exactly these two
     kset = frozenset((P("2 3 4 1"), P("4 1 2 3")))
-    assert all(children(p, indecomposable_only=True) != kset for p in sum_indecomposables(5))
+    assert all(children(p) != kset for p in sum_indecomposables(5))
     verdict = reconstruct_from_k(kset, 5)
     assert verdict.tag == "no_match"
     assert verdict.matches == ()
@@ -106,7 +106,7 @@ def test_verify_taper_matches_brute_force():
     # covering both passing and failing parameter choices
     for n, m in ((5, 3), (4, 3), (5, 4), (4, 4)):
         pool = k_bounded_members(n, m - 1)
-        ksets = {p: children(p, indecomposable_only=True) for p in pool}
+        ksets = {p: children(p) for p in pool}
         expected = set()
         for combo in combinations(sorted(pool), m):
             union = set()

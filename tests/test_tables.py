@@ -64,7 +64,8 @@ def test_rows_sorted_by_growth():
 
 def test_verify_table_report_shape():
     result = verify_table(1, max_index=4)
-    assert set(result) == {"table", "checked", "problems", "passed"}
+    assert set(result) == {"table", "checked", "rows", "problems", "passed"}
+    assert result["rows"] == table_rows(1, 4)
     assert result["table"] == 1
     assert result["passed"] is True
     assert result["problems"] == []
@@ -116,3 +117,29 @@ def test_tables_below_xi_verify_at_every_index(which, max_index):
     # a valid index narrows the check; it never makes it fail
     result = verify_table(which, max_index=max_index)
     assert result["passed"], result["problems"]
+
+
+def test_verify_table_reports_each_kind_of_failure(monkeypatch):
+    from permgrowth import tables
+
+    true_1134 = next(row for row in tables.TABLES[1] if row.family == "1,1,3,4").poly({})
+    family = "1,1,2,3,4^i,8"
+    converging = next(row for row in tables.TABLES[2] if row.family == family)
+    monkeypatch.setattr(tables, "TABLES", {1: (
+        tables._fixed("1,2", XI_POLY, "at"),
+        tables._fixed("1,1,3,4", XI_POLY, "above"),
+        tables._fixed("1,1,3,4", true_1134, "below"),
+        tables.RowTemplate(family, converging.params, converging.poly, "below",
+                           limit=converging.limit),
+    )})
+    result = verify_table(1, max_index=1)
+    assert result["passed"] is False
+    assert result["checked"] == 5
+    assert sorted(result["problems"]) == sorted([
+        "1,2 []: sequence 1,2 is illegal",
+        "1,1,3,4 []: stated polynomial disagrees with the sequence",
+        "1,1,3,4 []: root is not below xi",
+        "%s [('i', 0)]: root is not below xi" % family,
+        "%s [('i', 1)]: root is not below xi" % family,
+        "%s: family roots do not move strictly toward the limit" % family,
+    ])
