@@ -6,41 +6,25 @@ for fixed parameters.  Wall time is never part of the payload; the CLI
 prints it to stderr.
 
 ``REGISTRY`` is the one table of campaigns: each entry holds the name, the
-claim, the runner and the inputs the runner takes.  A runner returns the
-report's parameters, whether the claim held, and the artifacts;
-``run_campaign`` adds the name and the claim.
+claim, the runner, the inputs the runner takes and whether the report
+carries a CSV artifact.  A runner returns the report's parameters, whether
+the claim held, and the artifacts; ``run_campaign`` adds the name and the
+claim.  Each runner imports the modules it calls when it runs, so loading
+the registry loads none of them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from itertools import combinations
-from typing import Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional
 
-from .algebraics import (
-    XI_POLY,
-    compare,
-    family_roots,
-    growth_polynomial,
-    largest_real_root,
-    xi,
-)
-from .classes import CENSUS_BOUND, ClassSpec, census, spec_from_strs
-from .insertion import class_gf, eventual_period, si_gf
-from .polynomials import IntPolynomial
-from .reconstruction import RECON_BOUND, verify_reconstruction, verify_taper
-from .sequences import (
-    SumSequence,
-    classify,
-    growth_rate_of_sequence,
-    is_legal,
-    position_vs_xi,
-    realize,
-)
-from . import tables
+if TYPE_CHECKING:
+    from .classes import ClassSpec
+    from .sequences import SumSequence
 
 
 @dataclass
@@ -69,10 +53,8 @@ class CampaignReport:
         )
 
     def to_csv(self) -> str:
-        csv = self.artifacts.get("csv")
-        if csv is None:
-            raise ValueError("campaign %r has no CSV artifact" % self.campaign)
-        return csv
+        require_csv(self.campaign)
+        return self.artifacts["csv"]
 
 
 _SI3 = ("2 3 1", "3 1 2", "3 2 1")
@@ -83,6 +65,8 @@ def _basis_key(spec: ClassSpec) -> tuple:
 
 
 def _initial_1123() -> list[ClassSpec]:
+    from .classes import census, spec_from_strs
+
     out = []
     for r3 in _SI3:
         base = spec_from_strs(r3)
@@ -100,6 +84,8 @@ _SERIES_HORIZON = 60
 def _first_count_above(g, bound: int) -> Optional[int]:
     """Least n whose coefficient in ``g`` exceeds ``bound``, or None when no
     coefficient does."""
+    from .insertion import eventual_period
+
     try:
         counts, _ = eventual_period(g)  # every later coefficient repeats one of these
     except ValueError:
@@ -116,6 +102,9 @@ def run_search_1123(census_len: int = 10):
     encoding, and fail on any count above 5 with no 5 before it.  A class
     whose census to ``census_len`` stays at most 5 but whose exact series
     later exceeds 5 has its census extended to that length first."""
+    from .classes import census
+    from .insertion import class_gf, si_gf
+
     queue = _initial_1123()
     seen: set[tuple] = set()
     visited: list[dict] = []
@@ -177,6 +166,8 @@ def _candidates_112344() -> list[ClassSpec]:
     indecomposable counts begin 1,1,2,3,4,4.  A class is determined by its
     exclusions at each length, which must leave exactly 3, 4, 4 sum
     indecomposable members at lengths 4, 5, 6."""
+    from .classes import census, spec_from_strs
+
     found: dict[tuple, ClassSpec] = {}
     for r3 in _SI3:
         base = spec_from_strs(r3)
@@ -201,6 +192,9 @@ def run_search_112344():
     """Examine every class with basis of length at most 6 whose sum
     indecomposable counts begin 1,1,2,3,4,4 and report which ever reach a
     count of 5."""
+    from .classes import census, spec_from_strs
+    from .insertion import class_gf, eventual_period, si_gf
+
     specs = _candidates_112344()
     with_five = []
     for spec in specs:
@@ -238,6 +232,8 @@ def run_search_112344():
 
 
 def run_recon_verify(n: int = 6):
+    from .reconstruction import verify_reconstruction
+
     report = verify_reconstruction(n)
     return (
         {"n": n},
@@ -255,6 +251,8 @@ TAPER_SIZES = {4: 2, 5: 3, 6: 4, 11: 5}
 
 
 def run_taper_verify(n: Optional[int] = None):
+    from .reconstruction import verify_taper
+
     pairs = tuple(TAPER_SIZES.items())[:3] if n is None else ((n, TAPER_SIZES[n]),)
     results = []
     ok = True
@@ -273,6 +271,8 @@ def run_taper_verify(n: Optional[int] = None):
 
 
 def run_table(which: int, max_index: int = 6):
+    from . import tables
+
     report = tables.verify_table(which, max_index)
     return (
         {"max_index": max_index},
@@ -304,6 +304,10 @@ def run_xi_basis(max_len: int = 12):
     rate, and independently realize the claimed sequence from the generic
     construction, validating that witness by census and exact root
     comparison."""
+    from .algebraics import compare, xi
+    from .classes import census, spec_from_strs
+    from .sequences import SumSequence, growth_rate_of_sequence, realize
+
     quoted = spec_from_strs(*XI_CLAIM_BASIS)
     observed = census(quoted, max_len).si_sequence()
     claimed = list(XI_CLAIM_SEQUENCE) + [0] * (max_len - len(XI_CLAIM_SEQUENCE))
@@ -332,24 +336,27 @@ def run_xi_basis(max_len: int = 12):
     return {"max_len": max_len}, quoted_ok and built_ok, artifacts
 
 
-# the isolation width of the last root and of xi in the accumulation gap
-# test; the report echoes it as its parameter "eps"
-_GAP_WIDTH = Fraction(1, 10**9)
-
-
 def run_accumulation():
     """Largest roots of (x^5-2x^4-x^2-x-1)(x+1)x^(2i+1) - 1 for i = 1..10:
     strictly decreasing, all above xi, with the last within 1/1000 of xi."""
+    from fractions import Fraction
+
+    from .algebraics import XI_POLY, family_roots, xi
+    from .polynomials import IntPolynomial
+
+    # the isolation width of the last root and of xi in the gap test; the
+    # report echoes it as its parameter "eps"
+    gap_width = Fraction(1, 10**9)
     f = XI_POLY * IntPolynomial([1, 1])
     g = IntPolynomial([-1])
     roots = family_roots(f, g, lambda i: 2 * i + 1, range(1, 11))
     x = xi()
     last = roots[-1]
-    last.refine(_GAP_WIDTH)
-    x.refine(_GAP_WIDTH)
+    last.refine(gap_width)
+    x.refine(gap_width)
     close = last.hi - x.lo < Fraction(1, 1000)
     return (
-        {"eps": str(_GAP_WIDTH)},
+        {"eps": str(gap_width)},
         close,
         {
             "roots": [r.approx(8) for r in roots],
@@ -360,6 +367,8 @@ def run_accumulation():
 
 
 def run_census(spec: ClassSpec, max_len: int = 8):
+    from .classes import census
+
     c = census(spec, max_len)
     return (
         {"basis": [str(p) for p in spec.sorted_basis()], "max_len": max_len},
@@ -371,7 +380,12 @@ def run_census(spec: ClassSpec, max_len: int = 8):
 def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence] = None):
     if (spec is None) == (seq is None):
         raise ValueError("provide exactly one of a basis or a sequence")
+    from .algebraics import growth_polynomial, largest_real_root
+    from .sequences import growth_rate_of_sequence, is_legal, position_vs_xi
+
     if spec is not None:
+        from .insertion import class_gf
+
         poly = growth_polynomial(class_gf(spec))
         root = largest_real_root(poly)
         params = {"basis": [str(p) for p in spec.sorted_basis()]}
@@ -393,68 +407,91 @@ def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence]
 
 
 def run_classify(seq: SumSequence):
+    from .sequences import classify
+
     return {"sequence": str(seq)}, True, classify(seq).to_dict()
 
 
 @dataclass(frozen=True)
 class Param:
     """One input of a campaign: the CLI option that gives it, the runner
-    keyword it feeds, the values it allows (``allowed`` says which in
-    words, ``valid`` tests a value) and whether the campaign needs it."""
+    keyword it feeds, the values it allows and whether the campaign needs
+    it.  ``values`` returns the allowed values, a range or a collection, or
+    is None when every value is allowed; it is called only when a value is
+    checked or the help is printed, so that a bound kept in the module that
+    enforces it loads that module only then."""
 
     option: str
     keyword: str
-    allowed: str = ""
-    valid: Callable[[Any], bool] = lambda value: True
+    values: Optional[Callable[[], Collection]] = None
     required: bool = False
 
+    def allowed(self) -> str:
+        """The allowed values in words, empty when every value is allowed."""
+        if self.values is None:
+            return ""
+        values = self.values()
+        if isinstance(values, range):
+            return "%d..%d" % (values.start, values[-1])
+        return "one of %s" % ", ".join(map(str, values))
 
-def _length(keyword: str, lo: int, hi: int) -> Param:
-    """``--max-len`` feeding ``keyword``: an integer in lo..hi."""
-    return Param("--max-len", keyword, "%d..%d" % (lo, hi), lambda v: lo <= v <= hi)
+    def valid(self, value: Any) -> bool:
+        return self.values is None or value in self.values()
 
 
-_TABLE_INDEX = (_length("max_index", 0, tables.MAX_INDEX),)
-_TAPER_LENGTH = Param(
-    "--max-len", "n", "one of %s" % ", ".join(map(str, TAPER_SIZES)),
-    lambda n: n in TAPER_SIZES,
-)
+def _length(keyword: str, lo: int, bound: str) -> Param:
+    """``--max-len`` feeding ``keyword``: an integer from lo up to
+    ``bound``, given as ``module.NAME`` of this package."""
+    module, name = bound.split(".")
+    return Param("--max-len", keyword,
+                 lambda: range(lo, getattr(import_module("." + module, __package__), name) + 1))
+
+
+_TABLE_INDEX = (_length("max_index", 0, "tables.MAX_INDEX"),)
+_TAPER_LENGTH = Param("--max-len", "n", lambda: TAPER_SIZES)
 
 
 class Campaign(NamedTuple):
     runner: Callable[..., tuple]
     params: tuple  # of Param
     claim: str
+    csv: bool = False  # whether the report carries a CSV artifact
 
 
 REGISTRY: dict[str, Campaign] = {
-    "recon-verify": Campaign(run_recon_verify, (_length("n", 5, RECON_BOUND),),
+    "recon-verify": Campaign(run_recon_verify, (_length("n", 5, "reconstruction.RECON_BOUND"),),
         "sets of sum indecomposable children determine their parent, up to the one pair of same-length increasing oscillations"),
     "taper-verify": Campaign(run_taper_verify, (_TAPER_LENGTH,),
         "small sets of sum indecomposable permutations have child sets almost as large"),
-    "search-1123": Campaign(run_search_1123, (_length("census_len", 1, CENSUS_BOUND),),
+    "search-1123": Campaign(run_search_1123, (_length("census_len", 1, "classes.CENSUS_BOUND"),),
         "no class whose sum indecomposable counts start 1,1,2,3 shows a count above 5 before a count of 5"),
     "search-112344": Campaign(run_search_112344, (),
         "exactly two classes with counts starting 1,1,2,3,4,4 ever reach a count of 5, and they are inverses"),
     "table1": Campaign(partial(run_table, 1), _TABLE_INDEX,
-        "each listed short sequence forces a growth rate at or above the threshold constant"),
+        "each listed short sequence forces a growth rate at or above the threshold constant", csv=True),
     "table2": Campaign(partial(run_table, 2), _TABLE_INDEX,
-        "each listed sequence family forces growth rates converging to the threshold constant from above"),
+        "each listed sequence family forces growth rates converging to the threshold constant from above", csv=True),
     "table3": Campaign(partial(run_table, 3), _TABLE_INDEX,
-        "each listed realizable sequence yields a growth rate below the threshold constant"),
+        "each listed realizable sequence yields a growth rate below the threshold constant", csv=True),
     "table4": Campaign(partial(run_table, 4), _TABLE_INDEX,
-        "each listed realizable sequence family yields growth rates converging to the threshold constant from below"),
-    "xi-basis": Campaign(run_xi_basis, (_length("max_len", len(XI_CLAIM_SEQUENCE), CENSUS_BOUND),),
+        "each listed realizable sequence family yields growth rates converging to the threshold constant from below", csv=True),
+    "xi-basis": Campaign(run_xi_basis, (_length("max_len", len(XI_CLAIM_SEQUENCE), "classes.CENSUS_BOUND"),),
         "an explicit finitely based class realizes the sequence 1,1,2,4,3,3,2,1,0 and attains the threshold growth rate exactly"),
     "accumulation": Campaign(run_accumulation, (),
         "the explicit polynomial family has strictly decreasing largest roots accumulating at the threshold constant from above"),
-    "census": Campaign(run_census, (Param("--basis", "spec", required=True), _length("max_len", 1, CENSUS_BOUND)),
-        "exact member and sum indecomposable counts of a finitely based class"),
+    "census": Campaign(run_census, (Param("--basis", "spec", required=True), _length("max_len", 1, "classes.CENSUS_BOUND")),
+        "exact member and sum indecomposable counts of a finitely based class", csv=True),
     "growth-rate": Campaign(run_growth_rate, (Param("--basis", "spec"), Param("--seq", "seq")),
         "exact growth rate extraction for a class or sequence"),
     "classify": Campaign(run_classify, (Param("--seq", "seq", required=True),),
         "legality, realizability, and growth position of a sum indecomposable count sequence"),
 }
+
+
+def require_csv(name: str) -> None:
+    """Raise ValueError unless the campaign ``name`` writes a CSV artifact."""
+    if not REGISTRY[name].csv:
+        raise ValueError("campaign %r has no CSV artifact" % name)
 
 
 def run_campaign(name: str, params: Optional[dict] = None) -> CampaignReport:
@@ -468,7 +505,7 @@ def run_campaign(name: str, params: Optional[dict] = None) -> CampaignReport:
     for p in entry.params:
         if p.keyword in params:
             if not p.valid(params[p.keyword]):
-                raise ValueError("%s %s must be %s" % (name, p.option, p.allowed))
+                raise ValueError("%s %s must be %s" % (name, p.option, p.allowed()))
         elif p.required:
             raise ValueError("%s needs %s" % (name, p.option))
     parameters, passed, artifacts = entry.runner(**params)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import permgrowth
+from permgrowth import campaigns
 from permgrowth.cli import main
 from permgrowth.perms import ALTERNATION_KINDS, vertical_alternation
 from permgrowth.sequences import SumSequence, realize
@@ -101,6 +102,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["accumulation", "--eps", "1/3"])
     assert exc.value.code == 2
+
+
+def test_csv_is_refused_before_a_campaign_without_csv_runs(monkeypatch, capsys):
+    def runner(**kwargs):
+        raise AssertionError("the campaign ran")
+
+    entry = campaigns.REGISTRY["accumulation"]
+    monkeypatch.setitem(campaigns.REGISTRY, "accumulation", entry._replace(runner=runner))
+    assert main(["accumulation", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: campaign 'accumulation' has no CSV artifact\n"
+    assert {name for name, c in campaigns.REGISTRY.items() if c.csv} == {
+        "census", "table1", "table2", "table3", "table4"
+    }
 
 
 def test_unknown_campaign_is_an_argparse_error(capsys):

@@ -1,0 +1,87 @@
+"""The package loads a module on the first use of one of its names, and a
+CLI call loads only the modules its campaign runs.
+
+Run without a bytecode cache, each module a call loads is compiled again,
+so a top-level import added to the front end or the registry shows up in
+every short call; the subprocess checks below catch one."""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+
+import pytest
+
+import permgrowth
+
+
+def test_every_exported_name_is_its_defining_module_binding():
+    for name in permgrowth.__all__:
+        module = importlib.import_module("permgrowth." + permgrowth._MODULE_OF[name])
+        value = getattr(permgrowth, name)
+        assert value is vars(module)[name], name
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from permgrowth import *", namespace)
+    for name in permgrowth.__all__:
+        assert namespace[name] is getattr(permgrowth, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        permgrowth.no_such_name
+    with pytest.raises(ImportError):
+        from permgrowth import no_such_name  # noqa: F401
+    assert isinstance(permgrowth._import_started, float)
+
+
+# runs the CLI on its arguments, if any, in a fresh interpreter and prints
+# the exit code and the permgrowth modules then loaded
+_PROBE = (
+    "import contextlib, io, sys, permgrowth.cli\n"
+    "argv = sys.argv[1:]\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = permgrowth.cli.main(argv) if argv else 0\n"
+    "print(code, *sorted(m[len('permgrowth.'):] for m in sys.modules if m.startswith('permgrowth.')))\n"
+)
+
+
+def _loaded(argv: list) -> set:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _PROBE] + argv, env=env, capture_output=True, text=True, check=True
+    )
+    code, *modules = run.stdout.split()
+    assert code == "0", (argv, run.stderr)
+    return set(modules)
+
+
+def test_cli_import_loads_only_the_registry():
+    assert _loaded([]) == {"campaigns", "cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (
+            ["census", "--basis", "BASIS", "--max-len", "7"],
+            {"tables", "sequences", "algebraics", "polynomials", "insertion", "reconstruction"},
+        ),
+        (["classify", "--seq", "1,1,2,3,(4)"], {"tables", "insertion", "reconstruction"}),
+        (
+            ["recon-verify", "--max-len", "6"],
+            {"tables", "sequences", "insertion", "algebraics", "polynomials"},
+        ),
+    ],
+)
+def test_a_call_loads_only_the_modules_its_campaign_runs(argv, unloaded, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("2 3 1\n4 3 1 2\n4 3 2 1\n")
+    loaded = _loaded([str(basis) if a == "BASIS" else a for a in argv])
+    assert {"campaigns", "cli"} <= loaded
+    assert not loaded & unloaded, loaded & unloaded

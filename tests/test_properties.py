@@ -18,7 +18,14 @@ from permgrowth.classes import (
     has_regular_insertion_encoding,
     member,
 )
-from permgrowth.insertion import SlotBoundExceeded, class_gf, decode, encode, si_gf
+from permgrowth.insertion import (
+    SlotBoundExceeded,
+    class_gf,
+    decode,
+    encode,
+    eventual_period,
+    si_gf,
+)
 from permgrowth.perms import (
     Permutation,
     contains,
@@ -257,8 +264,12 @@ basis_elements = (
 )
 
 
-# most small bases are not regular, above all the short lists drawn first
+# most small bases are not regular, above all the short lists drawn first;
+# few drawn SI bases give eventually periodic SI counts, so the example, one
+# of the two 1,1,2,3,4,4 classes that reach a count of 5, always checks the
+# sequence g.f.s on a prefix and a tail
 @given(st.lists(basis_elements, min_size=1, max_size=3))
+@example([(3, 2, 1), (3, 4, 1, 2), (4, 1, 2, 3), (2, 3, 4, 5, 1), (3, 1, 4, 6, 2, 5)])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_class_gf_matches_census_on_random_regular_classes(basis):
     spec = ClassSpec(map(Permutation, basis))
@@ -274,7 +285,17 @@ def test_class_gf_matches_census_on_random_regular_classes(basis):
     c = census(spec, 8)
     assert f.series(8) == c.member_counts
     if all(map(_si, basis)):  # an SI basis gives a sum closed class
-        assert si_gf(f).series(8) == c.si_counts
+        g = si_gf(f)
+        assert g.series(8) == c.si_counts
+        # the sequence g.f.s of the SI counts, read off g as a prefix and a
+        # tail; a class whose counts are not eventually periodic is refused
+        try:
+            counts, period = eventual_period(g)
+        except ValueError:
+            reject()
+        seq = SumSequence(counts[1:-period], counts[-period:])
+        assert gf_of_sequence(seq) == g
+        assert class_gf_of_sequence(seq) == f
 
 
 # random integer polynomials of degree <= 8, coefficients in -20..20; the
