@@ -10,8 +10,8 @@ the permutation and vice versa.
 The automaton for a class tracks, per basis element, every way a value
 prefix of that element embeds into the decided entries, recording for each
 still-missing entry the interval of slots it may occupy.  A completed
-embedding kills the state; words reaching slot count zero are exactly the
-encodings of class members.
+embedding, or one with a single entry left, kills the state; words reaching
+slot count zero are exactly the encodings of class members.
 
 One basis element's step depends only on the element, its signature set
 and the letter, so steps are cached across builds: the classes of one
@@ -213,7 +213,8 @@ def _cached_step(sigs, table, action: str, j: int):
 
 
 def _step_sigset(sigs, table, action: str, j: int):
-    """Evolve one basis element's signature set; _DEAD on completion.
+    """Evolve one basis element's signature set; _DEAD once an embedding
+    is complete or has a single entry left.
 
     Every window lies in 1..s, the slot count before the letter, and
     ``_reindex`` maps each window in 1..s that stays non-empty into
@@ -231,8 +232,6 @@ def _step_sigset(sigs, table, action: str, j: int):
         t = table[len(sig)]
         lo, hi = sig[t]
         if lo <= j <= hi:
-            if len(sig) == 1:
-                return _DEAD
             matched = []
             alive = True
             for i, w in enumerate(sig):
@@ -248,6 +247,12 @@ def _step_sigset(sigs, table, action: str, j: int):
                     break
                 matched.append((wlo, whi))
             if alive:
+                if len(matched) <= 1:
+                    # complete, or the entry left is b's largest value and
+                    # its window a non-empty slot interval: every accepted
+                    # completion puts a value larger than all decided ones
+                    # there
+                    return _DEAD
                 msig = tuple(matched)
                 if _feasible(msig):
                     out.add(msig)
@@ -290,8 +295,8 @@ def build_automaton(spec: ClassSpec) -> Automaton:
     insertion encodings of the members of ``spec``.
 
     Raises :class:`NotRegular` when the class has no regular insertion
-    encoding and :class:`SlotBoundExceeded` when more than ``SLOT_CAP``
-    simultaneous slots would be needed.
+    encoding and :class:`SlotBoundExceeded` when a live state would open
+    more than ``SLOT_CAP`` slots.
     """
     if not has_regular_insertion_encoding(spec):
         raise NotRegular("class admits unbounded vertical alternations")
@@ -315,7 +320,10 @@ def build_automaton(spec: ClassSpec) -> Automaton:
         """A state can reach acceptance iff some way of filling each open
         slot with a single value avoids the basis: deleting surplus values
         from any accepted completion leaves one value per slot.  So only
-        fill letters need exploring, and slot count strictly decreases."""
+        fill letters need exploring, and slot count strictly decreases.
+        ``step`` has already cut every state holding a signature with one
+        entry left, so this decides only states whose signatures all have
+        two or more entries."""
         if state[0] == 0:
             return True
         if state not in live_cache:
@@ -332,18 +340,17 @@ def build_automaton(spec: ClassSpec) -> Automaton:
     queue = [initial]
     while queue:
         state = queue.pop()
-        s, sets = state
+        s = state[0]
         here = transitions[ids[state]]
         for action in ACTIONS:
-            s_new = s + _SLOT_DELTA[action]
-            if s_new > SLOT_CAP:
-                raise SlotBoundExceeded(
-                    "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
-                )
             for j in range(1, s + 1):
                 target = step(state, action, j)
                 if target is None or not live(target):
                     continue
+                if target[0] > SLOT_CAP:
+                    raise SlotBoundExceeded(
+                        "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
+                    )
                 if target not in ids:
                     ids[target] = len(ids)
                     transitions.append({})

@@ -12,6 +12,7 @@ from permgrowth.classes import (
 )
 from permgrowth.insertion import (
     NotRegular,
+    SlotBoundExceeded,
     build_automaton,
     class_gf,
     coefficients_bounded,
@@ -139,6 +140,8 @@ def test_eventual_period_rejects_growing_series():
     [
         ("2 3 1", "4 3 1 2", "4 3 2 1"),  # the Fibonacci class
         ("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5"),  # from search-112344
+        ("1 4 3 2", "1 2 3 4 5", "1 3 5 2 4"),  # opens 7 or 8 slots
+        ("1 2 3 4", "3 2 5 4 1"),  # needs exactly SLOT_CAP slots
     ],
 )
 def test_automaton_accepts_exactly_the_encodings_of_members(basis):
@@ -152,6 +155,38 @@ def test_automaton_accepts_exactly_the_encodings_of_members(basis):
                 if state is None:  # the implicit dead sink
                     break
             assert (state in aut.accepts) == member(spec, p), str(p)
+
+
+def test_one_entry_left_kills_the_state():
+    b = parse_permutation("1 2")
+    table = insertion._next_entry_tables(b)
+    sigs = frozenset({((1, 1), (1, 1))})
+    # 1 matched with a slot on its right, which must hold a larger value
+    assert insertion._step_sigset(sigs, table, "r", 1) is insertion._DEAD
+    # 1 matched with a slot only on its left: the window of 2 empties, and
+    # the unmatched signature stays
+    assert insertion._step_sigset(sigs, table, "l", 1) == sigs
+
+
+def test_a_class_needing_exactly_slot_cap_slots_builds(monkeypatch):
+    spec = spec_from_strs("1 2 3 4", "3 2 5 4 1")
+    aut = build_automaton(spec)
+    assert aut.num_states == 454
+    assert gf_from_automaton(aut).series(10) == census(spec, 10).member_counts
+    monkeypatch.setattr(insertion, "SLOT_CAP", insertion.SLOT_CAP - 1)
+    with pytest.raises(SlotBoundExceeded):
+        build_automaton(spec)
+
+
+def test_search_112344_builds_stay_within_their_work():
+    # a deterministic guard in place of a timing test: cutting states whose
+    # embeddings have one entry left keeps the steps these builds cache near
+    # 3 727 (11 178 without the cut), and the automata stay the same size
+    insertion._clear_step_cache()
+    states = sum(build_automaton(spec).num_states for spec in _candidates_112344())
+    assert len(insertion._step_cache) <= 4000
+    assert states == 1968
+    insertion._clear_step_cache()
 
 
 def test_automaton_deterministic_and_minimal_smoke():

@@ -274,9 +274,9 @@ basis_elements = (
 def test_class_gf_matches_census_on_random_regular_classes(basis):
     spec = ClassSpec(map(Permutation, basis))
     assume(has_regular_insertion_encoding(spec))
-    # a build that opens 7 or 8 slots can take 20 s (Av(1432, 12345, 13524),
-    # 592 states), so this test refuses those classes, as the program
-    # refuses more than SLOT_CAP slots
+    # a build that opens 7 or 8 slots takes 2 s (Av(1432, 12345, 13524), 592
+    # states) or 10–15 s (Av(2341, 31254, 54321), 3 381 states), so this test
+    # refuses those classes, as the program refuses more than SLOT_CAP slots
     try:
         with mock.patch.object(insertion, "SLOT_CAP", 6):
             f = class_gf(spec)
