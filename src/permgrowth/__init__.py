@@ -23,14 +23,13 @@ _EXPORTS = {
     "parse_permutation skew_sum standardize sum_components",
     "polynomials": "IntPolynomial RationalFunction",
     "algebraics": "KAPPA_POLY XI_POLY AlgebraicNumber compare family_roots "
-    "growth_polynomial kappa largest_real_root xi",
+    "growth_polynomial kappa largest_real_root position_vs_xi xi",
     "classes": "Census ClassSpec census compute_basis member parse_basis_text spec_from_strs",
     "insertion": "Automaton IELetter NotRegular SlotBoundExceeded build_automaton "
     "class_gf decode encode si_gf",
     "reconstruction": "k_class reconstruct_from_k sum_indecomposables "
     "verify_reconstruction verify_taper",
-    "sequences": "SumSequence classify dominates growth_rate_of_sequence is_legal "
-    "position_vs_xi realize",
+    "sequences": "SumSequence classify dominates growth_rate_of_sequence is_legal realize",
     "tables": "enumerate_below_xi table_rows verify_table",
     "campaigns": "CampaignReport run_campaign",
 }

@@ -270,6 +270,11 @@ def xi() -> AlgebraicNumber:
     return largest_real_root(XI_POLY)
 
 
+def position_vs_xi(growth: AlgebraicNumber) -> str:
+    c = compare(growth, xi())
+    return "below_xi" if c < 0 else ("equal_xi" if c == 0 else "above_xi")
+
+
 def family_roots(
     f: IntPolynomial,
     g: IntPolynomial,

@@ -16,7 +16,6 @@ the registry loads none of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from importlib import import_module
 from itertools import combinations
@@ -27,13 +26,16 @@ if TYPE_CHECKING:
     from .sequences import SumSequence
 
 
-@dataclass
 class CampaignReport:
-    campaign: str
-    parameters: dict
-    claim: str
-    status: str  # "pass" | "fail"
-    artifacts: dict = field(default_factory=dict)
+    __slots__ = ("campaign", "parameters", "claim", "status", "artifacts")
+
+    def __init__(self, campaign: str, parameters: dict, claim: str, status: str,
+                 artifacts: Optional[dict] = None):
+        self.campaign = campaign
+        self.parameters = parameters
+        self.claim = claim
+        self.status = status  # "pass" | "fail"
+        self.artifacts = {} if artifacts is None else artifacts
 
     @property
     def passed(self) -> bool:
@@ -380,8 +382,7 @@ def run_census(spec: ClassSpec, max_len: int = 8):
 def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence] = None):
     if (spec is None) == (seq is None):
         raise ValueError("provide exactly one of a basis or a sequence")
-    from .algebraics import growth_polynomial, largest_real_root
-    from .sequences import growth_rate_of_sequence, is_legal, position_vs_xi
+    from .algebraics import growth_polynomial, largest_real_root, position_vs_xi
 
     if spec is not None:
         from .insertion import class_gf
@@ -390,6 +391,8 @@ def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence]
         root = largest_real_root(poly)
         params = {"basis": [str(p) for p in spec.sorted_basis()]}
     else:
+        from .sequences import growth_rate_of_sequence, is_legal
+
         if not is_legal(seq):
             raise ValueError("sequence %s is illegal" % seq)
         root = growth_rate_of_sequence(seq)
@@ -412,8 +415,7 @@ def run_classify(seq: SumSequence):
     return {"sequence": str(seq)}, True, classify(seq).to_dict()
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One input of a campaign: the CLI option that gives it, the runner
     keyword it feeds, the values it allows and whether the campaign needs
     it.  ``values`` returns the allowed values, a range or a collection, or

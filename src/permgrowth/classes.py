@@ -8,8 +8,7 @@ per line, with ``#`` comments.  Census data serializes to CSV with columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .perms import (
     EMPTY,
@@ -79,14 +78,18 @@ def member(spec: ClassSpec, p: Permutation) -> bool:
     return all(not contains(b, p) for b in spec.basis)
 
 
-@dataclass
 class Census:
     """Per-length counts (and listings) of class members and their sum
     indecomposable subset."""
 
-    member_counts: list[int] = field(default_factory=list)  # index = length
-    si_counts: list[int] = field(default_factory=list)
-    levels: list[set[tuple[int, ...]]] = field(default_factory=list)
+    __slots__ = ("member_counts", "si_counts", "levels")
+
+    def __init__(self, member_counts: Optional[list[int]] = None,
+                 si_counts: Optional[list[int]] = None,
+                 levels: Optional[list[set[tuple[int, ...]]]] = None):
+        self.member_counts = [] if member_counts is None else member_counts  # index = length
+        self.si_counts = [] if si_counts is None else si_counts
+        self.levels = [] if levels is None else levels
 
     def si_sequence(self) -> list[int]:
         """SI counts for lengths 1..max_len."""

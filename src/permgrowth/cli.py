@@ -8,7 +8,8 @@ The campaigns, their claims and the options each one takes come from
 ``campaigns.REGISTRY``; ``permgrowth --help`` lists them.
 
 Exit codes: 0 on pass, 1 on verification failure, 2 on usage error, which
-includes an option the campaign does not take and a value out of its range.
+includes an option the campaign does not take, a value out of its range and
+an ``--out`` path that cannot be written.
 Reports are deterministic for fixed parameters; the wall time goes to
 stderr, split into the import of this front end and the campaign registry,
 and the run, which includes loading the modules the campaign uses.
@@ -103,13 +104,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             require_csv(args.campaign)
         report = run_campaign(args.campaign, params)
         text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     run = time.monotonic() - started
     print("wall time: %.3fs (import %.3fs, run %.3fs)" % (_import_seconds + run, _import_seconds, run),

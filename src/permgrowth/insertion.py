@@ -22,8 +22,7 @@ object, and the cache is cleared once it holds ``_STEP_CACHE_CAP`` steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .classes import ClassSpec, has_regular_insertion_encoding
 from .perms import Permutation
@@ -44,16 +43,22 @@ class SlotBoundExceeded(ValueError):
     slots, so the build refuses instead."""
 
 
-@dataclass(frozen=True, order=True)
-class IELetter:
+class _Letter(NamedTuple):
     action: str  # one of ACTIONS
     slot: int  # 1-based
 
-    def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise ValueError("unknown action %r" % (self.action,))
-        if self.slot < 1:
+
+class IELetter(_Letter):
+    """One letter of an insertion encoding; letters order by (action, slot)."""
+
+    __slots__ = ()
+
+    def __new__(cls, action: str, slot: int) -> "IELetter":
+        if action not in ACTIONS:
+            raise ValueError("unknown action %r" % (action,))
+        if slot < 1:
             raise ValueError("slot indices are 1-based")
+        return super().__new__(cls, action, slot)
 
     def __str__(self) -> str:
         return "%s_%d" % (self.action, self.slot)
@@ -259,14 +264,16 @@ def _step_sigset(sigs, table, action: str, j: int):
     return _dominance_prune(out)
 
 
-@dataclass(eq=False)
 class Automaton:
     """Deterministic automaton over insertion-encoding letters; transitions
     absent from the maps lead to an implicit dead sink."""
 
-    initial: int
-    accepts: frozenset[int]
-    transitions: list[dict[str, int]]  # index = state, key = str(letter)
+    __slots__ = ("initial", "accepts", "transitions")
+
+    def __init__(self, initial: int, accepts: frozenset[int], transitions: list[dict[str, int]]):
+        self.initial = initial
+        self.accepts = accepts
+        self.transitions = transitions  # index = state, key = str(letter)
 
     @property
     def num_states(self) -> int:

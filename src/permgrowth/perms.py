@@ -26,8 +26,7 @@ level; the basis search and K^(m) keep the candidates that pass
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class Permutation:
@@ -356,8 +355,7 @@ def children(p: Permutation) -> frozenset[Permutation]:
     return frozenset(map(Permutation._trusted, filter(is_si_entries, kids)))
 
 
-@dataclass(frozen=True)
-class InversionGraph:
+class InversionGraph(NamedTuple):
     """Graph on values 1..n with an edge (a, b), a > b, whenever a appears
     before b; connected iff the source permutation is sum indecomposable."""
 
@@ -417,8 +415,7 @@ def inversion_graph(p: Permutation) -> InversionGraph:
     return InversionGraph(len(p), frozenset(edges))
 
 
-@dataclass(frozen=True)
-class MonotoneDecomposition:
+class MonotoneDecomposition(NamedTuple):
     """Quotient together with signed block lengths (positive = increasing
     block, negative = decreasing block), one per quotient entry."""
 

@@ -4,9 +4,8 @@ indecomposable children, plus the exhaustive taper verifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .perms import (
     Permutation,
@@ -58,8 +57,7 @@ def is_increasing_oscillation(p: Permutation) -> bool:
     return is_sum_indecomposable(p) and inversion_graph(p).is_path()
 
 
-@dataclass(frozen=True)
-class ReconstructionVerdict:
+class ReconstructionVerdict(NamedTuple):
     tag: str  # "unique" | "oscillation_pair" | "no_match"
     matches: tuple[Permutation, ...] = ()
 
@@ -95,8 +93,7 @@ def reconstruct_from_k(kset: Iterable[Permutation], n: int) -> ReconstructionVer
     )
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     checked: int
     failures: tuple[tuple[Permutation, ...], ...]
 

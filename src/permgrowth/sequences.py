@@ -17,12 +17,10 @@ sequence that ends in zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
-from .algebraics import AlgebraicNumber, compare, largest_real_root, growth_polynomial, xi
-from .classes import ClassSpec, compute_basis
+from .algebraics import AlgebraicNumber, growth_polynomial, largest_real_root, position_vs_xi
 from .perms import (
     Permutation,
     children,
@@ -35,6 +33,9 @@ from .perms import (
     tail_member,
 )
 from .polynomials import ONE, IntPolynomial, RationalFunction
+
+if TYPE_CHECKING:
+    from .classes import ClassSpec
 
 
 class SumSequence:
@@ -78,17 +79,20 @@ class SumSequence:
 
     @classmethod
     def parse(cls, text: str) -> "SumSequence":
+        """Read the text format; "" is the zero sequence.  An empty field,
+        in the prefix or in the tail, raises ValueError: dropping it would
+        move every later count down one length."""
         text = text.strip()
-        tail: list[int] = []
-        if "(" in text:
-            head, _, rest = text.partition("(")
-            body, close, trailing = rest.partition(")")
-            if not close or trailing.strip():
-                raise ValueError("malformed periodic tail in %r" % text)
-            tail = [int(t) for t in body.split(",") if t.strip()]
-            text = head.rstrip().rstrip(",")
-        prefix = [int(t) for t in text.split(",") if t.strip()] if text else []
-        return cls(prefix, tail)
+        if "(" not in text:
+            return cls(_counts(text, text) if text else [])
+        head, _, rest = text.partition("(")
+        body, close, trailing = rest.partition(")")
+        if not close or trailing.strip():
+            raise ValueError("malformed periodic tail in %r" % text)
+        head = head.rstrip()
+        if head and not head.endswith(","):
+            raise ValueError("no comma before the periodic tail in %r" % text)
+        return cls(_counts(head[:-1], text) if head else [], _counts(body, text))
 
     def term(self, n: int) -> int:
         """s_n, 1-based."""
@@ -133,6 +137,14 @@ class SumSequence:
             len(self.prefix), len(other.prefix)
         )
         return start + p * q // math.gcd(p, q)
+
+
+def _counts(fields: str, text: str) -> list[int]:
+    """The comma-separated counts of ``fields``, a part of ``text``."""
+    parts = fields.split(",")
+    if not all(f.strip() for f in parts):
+        raise ValueError("empty field in %r" % text)
+    return [int(f) for f in parts]
 
 
 def is_legal(s: SumSequence) -> bool:
@@ -191,17 +203,11 @@ def growth_rate_of_sequence(s: SumSequence) -> AlgebraicNumber:
     return largest_real_root(growth_polynomial(class_gf_of_sequence(s)))
 
 
-def position_vs_xi(growth: AlgebraicNumber) -> str:
-    c = compare(growth, xi())
-    return "below_xi" if c < 0 else ("equal_xi" if c == 0 else "above_xi")
-
-
 # ---------------------------------------------------------------------------
 # the two realization constructions
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A realization poset: infinite chains, each with the length it starts
     at, and the extra members of a few short levels.  From ``chain_min`` on,
     a level holds just the chains.  A level lists its most reusable members
@@ -302,8 +308,7 @@ def _construction_of(s: SumSequence) -> Optional[tuple[Construction, int]]:
     return NARROW, spike
 
 
-@dataclass
-class Realization:
+class Realization(NamedTuple):
     """A class whose sum indecomposable members realize a sequence: the
     construction it selects from and its finite basis (all sums of patterns
     of the selections)."""
@@ -350,6 +355,8 @@ def realize(s: SumSequence) -> Realization:
     guarantees are there, and a tail of value t the first t chains.  The
     witness basis is recomputed from the selection and validated
     downstream by census."""
+    from .classes import ClassSpec, compute_basis
+
     chosen = _construction_of(s) if is_legal(s) else None
     if chosen is None:
         raise ValueError("sequence %s is not known to be realizable" % s)
@@ -367,8 +374,7 @@ def realize(s: SumSequence) -> Realization:
     return Realization(construction.name, ClassSpec(basis))
 
 
-@dataclass
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     legal: bool
     realizable: str  # "yes" | "no"
     reason: Optional[str] = None

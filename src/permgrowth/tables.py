@@ -38,8 +38,7 @@ checks the entries it returns.  Verification per instantiated row:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebraics import (
     KAPPA_POLY,
@@ -68,8 +67,7 @@ def _mono(e: int) -> IntPolynomial:
     return IntPolynomial.monomial(e)
 
 
-@dataclass(frozen=True)
-class RowTemplate:
+class RowTemplate(NamedTuple):
     family: str  # the row's sequence, in the notation of the module docstring
     params: tuple  # a tuple of allowed values per parameter, in label order
     poly: Callable[[dict], IntPolynomial]
@@ -81,8 +79,7 @@ class RowTemplate:
     limit: Optional[IntPolynomial] = None
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     table: int
     family: str
     assignment: tuple  # ordered (name, value)
@@ -90,7 +87,7 @@ class TableEntry:
     polynomial: IntPolynomial
     growth: float
     position: str
-    row: RowTemplate = field(compare=False, repr=False)  # the template it instantiates
+    row: RowTemplate  # the template it instantiates
 
 
 def _parse(family: str) -> tuple[tuple, Optional[int], tuple]:

@@ -68,9 +68,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["classify"],
         ["growth-rate"],
         ["growth-rate", "--seq", "2,1"],  # illegal sequence
+        ["classify", "--seq", "1,,2"],  # an empty field would shift later counts
         ["taper-verify", "--max-len", "7"],
         ["recon-verify", "--max-len", "11"],  # above RECON_BOUND
         ["census", "--basis", "/nonexistent/file"],
+        # an --out path that cannot be written
+        ["accumulation", "--out", str(tmp_path / "missing" / "x.json")],
+        ["accumulation", "--out", str(tmp_path)],
         # options the campaign does not take
         ["accumulation", "--max-len", "4"],
         ["classify", "--seq", "1,1,2", "--max-len", "9"],

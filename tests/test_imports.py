@@ -41,17 +41,19 @@ def test_unknown_name_raises_attribute_error():
 
 
 # runs the CLI on its arguments, if any, in a fresh interpreter and prints
-# the exit code and the permgrowth modules then loaded
+# the exit code and the modules that importing the CLI and the call added
 _PROBE = (
-    "import contextlib, io, sys, permgrowth.cli\n"
+    "import contextlib, io, sys\n"
+    "before = set(sys.modules)\n"
+    "import permgrowth.cli\n"
     "argv = sys.argv[1:]\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = permgrowth.cli.main(argv) if argv else 0\n"
-    "print(code, *sorted(m[len('permgrowth.'):] for m in sys.modules if m.startswith('permgrowth.')))\n"
+    "print(code, *sorted(set(sys.modules) - before))\n"
 )
 
 
-def _loaded(argv: list) -> set:
+def _added(argv: list) -> set:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
     run = subprocess.run(
         [sys.executable, "-c", _PROBE] + argv, env=env, capture_output=True, text=True, check=True
@@ -61,8 +63,19 @@ def _loaded(argv: list) -> set:
     return set(modules)
 
 
+def _loaded(argv: list) -> set:
+    """The permgrowth modules a call loads, without the package prefix."""
+    return {m[len("permgrowth."):] for m in _added(argv) if m.startswith("permgrowth.")}
+
+
 def test_cli_import_loads_only_the_registry():
     assert _loaded([]) == {"campaigns", "cli"}
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a large share of
+    # the start-up of every short call
+    assert not _added([]) & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -72,11 +85,14 @@ def test_cli_import_loads_only_the_registry():
             ["census", "--basis", "BASIS", "--max-len", "7"],
             {"tables", "sequences", "algebraics", "polynomials", "insertion", "reconstruction"},
         ),
-        (["classify", "--seq", "1,1,2,3,(4)"], {"tables", "insertion", "reconstruction"}),
+        (["classify", "--seq", "1,1,2,3,(4)"], {"tables", "classes", "insertion", "reconstruction"}),
         (
             ["recon-verify", "--max-len", "6"],
             {"tables", "sequences", "insertion", "algebraics", "polynomials"},
         ),
+        (["growth-rate", "--seq", "1,1,2,3,(4)"], {"tables", "classes", "insertion", "reconstruction"}),
+        (["growth-rate", "--basis", "BASIS"], {"tables", "sequences", "reconstruction"}),
+        (["table2", "--max-len", "2"], {"classes", "insertion", "reconstruction"}),
     ],
 )
 def test_a_call_loads_only_the_modules_its_campaign_runs(argv, unloaded, tmp_path):

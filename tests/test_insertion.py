@@ -11,6 +11,7 @@ from permgrowth.classes import (
     spec_from_strs,
 )
 from permgrowth.insertion import (
+    IELetter,
     NotRegular,
     SlotBoundExceeded,
     build_automaton,
@@ -36,6 +37,25 @@ def test_encode_decode_examples():
     p = parse_permutation("3 1 4 6 2 5")
     assert decode(encode(p)) == p
     assert len(encode(p)) == len(p)
+
+
+@pytest.mark.parametrize("action, slot", [("x", 1), ("F", 2), ("f", 0), ("m", -1)])
+def test_ie_letter_rejects_an_unknown_action_or_slot(action, slot):
+    with pytest.raises(ValueError):
+        IELetter(action, slot)
+
+
+def test_ie_letter_orders_by_action_then_slot_and_round_trips_its_text():
+    letters = [IELetter(a, j) for a in "rmlf" for j in (3, 1, 2)]
+    ordered = sorted(letters)
+    assert [(x.action, x.slot) for x in ordered] == sorted((a, j) for a in "flmr" for j in (1, 2, 3))
+    assert IELetter("f", 2) < IELetter("l", 1) < IELetter("l", 2)
+    for x in letters:
+        assert IELetter.parse(str(x)) == x
+    assert str(IELetter("m", 12)) == "m_12"
+    assert IELetter.parse("r_3") == IELetter("r", 3)
+    with pytest.raises(ValueError):
+        IELetter.parse("f_0")
 
 
 def test_encode_decode_all_to_length_6():

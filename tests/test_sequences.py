@@ -45,6 +45,22 @@ def test_terms():
     assert S("1,1").terms(4) == [1, 1, 0, 0]
 
 
+def test_parse_accepts_spaces_and_the_zero_sequence():
+    assert S(" 1 , 1 ,2, ( 3 , 4 ) ") == S("1,1,2,(3,4)")
+    assert S("(1)") == SumSequence([], (1,))
+    assert S("") == S("  ") == SumSequence([])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1,,2", "1,", ",1", "1,1,2,,(3)", ",(3)", "1,1,(2,)", "1,(,2)", "1,()", "()", "1 (2)"],
+)
+def test_parse_rejects_empty_fields_and_a_missing_separator(text):
+    # 1,,2 read as 1,2 would move every later count down one length
+    with pytest.raises(ValueError):
+        S(text)
+
+
 def test_rejects_negative_counts():
     with pytest.raises(ValueError):
         SumSequence([1, -1])
