@@ -78,6 +78,27 @@ def member(spec: ClassSpec, p: Permutation) -> bool:
     return all(not contains(b, p) for b in spec.basis)
 
 
+def orbit_key(spec: ClassSpec) -> tuple[tuple[int, ...], ...]:
+    """The least sorted entry-tuple basis among B, B⁻¹, rc(B) and rc(B⁻¹),
+    where B is the basis of ``spec`` and rc is reverse-complement.  The four
+    classes share their counts and their sum indecomposable counts, since
+    (a⊕b)⁻¹ = a⁻¹⊕b⁻¹ and rc(a⊕b) = rc(b)⊕rc(a).
+
+    >>> orbit_key(spec_from_strs("2 3 1"))
+    ((2, 3, 1),)
+    >>> orbit_key(spec_from_strs("3 1 2")) == orbit_key(spec_from_strs("2 3 1"))
+    True
+    >>> orbit_key(spec_from_strs("1 3 2"))
+    ((1, 3, 2),)
+    """
+    def rc(t: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(len(t) + 1 - v for v in reversed(t))
+
+    basis = [b.entries for b in spec.basis]
+    inverses = [b.inverse().entries for b in spec.basis]
+    return min(tuple(sorted(image)) for image in (basis, inverses, map(rc, basis), map(rc, inverses)))
+
+
 class Census:
     """Per-length counts (and listings) of class members and their sum
     indecomposable subset."""

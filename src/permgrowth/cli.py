@@ -9,7 +9,8 @@ The campaigns, their claims and the options each one takes come from
 
 Exit codes: 0 on pass, 1 on verification failure, 2 on usage error, which
 includes an option the campaign does not take, a value out of its range and
-an ``--out`` path that cannot be written.
+an ``--out`` path that cannot be written, which is refused before the
+campaign runs.
 Reports are deterministic for fixed parameters; the wall time goes to
 stderr, split into the import of this front end and the campaign registry,
 and the run, which includes loading the modules the campaign uses.
@@ -18,6 +19,8 @@ and the run, which includes loading the modules the campaign uses.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from typing import Optional
@@ -43,6 +46,22 @@ def _read_seq(text: str):
 
 # the parse of each campaign input that argparse leaves as text
 _PARSE = {"--basis": _read_basis, "--seq": _read_seq}
+
+
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise if it is a
+    directory, or its directory is missing or not writable.  The file is not
+    opened, so a bad path costs no campaign run and truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _campaigns_help() -> str:
@@ -102,6 +121,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = _campaign_params(args)
         if args.format == "csv":
             require_csv(args.campaign)
+        if args.out:
+            _check_out(args.out)
         report = run_campaign(args.campaign, params)
         text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
         if args.out:

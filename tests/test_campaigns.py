@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from permgrowth import campaigns, classes, insertion
 from permgrowth.algebraics import XI_POLY, family_roots, growth_polynomial, largest_real_root, xi
 from permgrowth.campaigns import run_campaign
-from permgrowth.classes import spec_from_strs
+from permgrowth.classes import orbit_key, spec_from_strs
 from permgrowth.insertion import class_gf
 from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, growth_rate_of_sequence, realize
@@ -55,6 +56,40 @@ def test_search_1123_extends_a_short_census():
     assert report.artifacts["classes_visited"] == 178
     assert report.artifacts["classes_expanded"] == 37
     assert report.artifacts["counterexamples"] == []
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_search_112344_builds_one_gf_per_orbit(monkeypatch):
+    # the only censuses are the enumeration's, and each of the 51 orbits of
+    # the 173 classes under inverse and reverse-complement gets one g.f.
+    calls = {}
+    _counting(monkeypatch, classes, "census", calls)
+    _counting(monkeypatch, insertion, "class_gf", calls)
+    report = run_campaign("search-112344")
+    assert report.passed
+    assert report.artifacts["classes_examined"] == 173
+    assert calls == {"census": 76, "class_gf": 51}
+    # the two classes that reach 5 are inverses, so they share one orbit
+    a, b = (spec_from_strs(*e["basis"]) for e in report.artifacts["classes_with_five"])
+    assert spec_from_strs(*(str(p.inverse()) for p in a.basis)) == b
+    assert orbit_key(a) == orbit_key(b)
+
+
+def test_search_112344_checks_the_prefix_on_the_gf(monkeypatch):
+    # the Fibonacci class's sum indecomposable counts begin 1,1,2,3,5,8
+    fibonacci = spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")
+    monkeypatch.setattr(campaigns, "_candidates_112344", lambda: [fibonacci])
+    with pytest.raises(AssertionError, match="wrong prefix"):
+        run_campaign("search-112344")
 
 
 def test_taper_verify_looks_up_the_subset_size():

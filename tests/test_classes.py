@@ -2,13 +2,15 @@ import pytest
 
 from permgrowth.classes import (
     CENSUS_BOUND,
+    ClassSpec,
     census,
     compute_basis,
     member,
+    orbit_key,
     parse_basis_text,
     spec_from_strs,
 )
-from permgrowth.perms import all_permutations, contains, parse_permutation
+from permgrowth.perms import Permutation, all_permutations, contains, parse_permutation
 
 
 def test_basis_minimization():
@@ -100,3 +102,35 @@ def test_extended_specs():
     base = spec_from_strs("3 2 1")
     bigger = base.extended([parse_permutation("3 4 1 2")])
     assert [str(p) for p in bigger.sorted_basis()] == ["3 2 1", "3 4 1 2"]
+
+
+def _inverse(spec):
+    return ClassSpec(p.inverse() for p in spec.basis)
+
+
+def _reverse_complement(spec):
+    return ClassSpec(Permutation(len(p) + 1 - v for v in reversed(p.entries)) for p in spec.basis)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ("2 3 1", "4 3 1 2", "4 3 2 1"),  # the Fibonacci class
+        ("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5"),  # from search-112344
+        ("1 4 3 2", "1 2 3 4 5", "1 3 5 2 4"),
+        ("1 3 2",),  # its own inverse
+    ],
+)
+def test_orbit_key_is_shared_by_the_four_images(basis):
+    spec = spec_from_strs(*basis)
+    images = [spec, _inverse(spec), _reverse_complement(spec), _reverse_complement(_inverse(spec))]
+    key = orbit_key(spec)
+    assert all(orbit_key(image) == key for image in images)
+    # the key is the sorted entry tuples of one of the images
+    assert key in {tuple(sorted(p.entries for p in image.basis)) for image in images}
+
+
+def test_orbit_key_separates_classes_with_different_counts():
+    # 2 3 1 and 1 3 2 give the same counts, but no symmetry of the two
+    # maps one onto the other, so they lie in different orbits
+    assert orbit_key(spec_from_strs("2 3 1")) != orbit_key(spec_from_strs("1 3 2"))

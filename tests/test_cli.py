@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import permgrowth
-from permgrowth import campaigns
+from permgrowth import campaigns, cli
 from permgrowth.cli import main
 from permgrowth.perms import ALTERNATION_KINDS, vertical_alternation
 from permgrowth.sequences import SumSequence, realize
@@ -106,6 +106,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["accumulation", "--eps", "1/3"])
     assert exc.value.code == 2
+
+
+def test_bad_out_is_refused_before_the_campaign_runs(monkeypatch, tmp_path, capsys):
+    def run_campaign(*args):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", run_campaign)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["accumulation", "--out", str(target)]) == 2, target
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno "), target
 
 
 def test_csv_is_refused_before_a_campaign_without_csv_runs(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from permgrowth.classes import (
     embeds_in_alternation,
     has_regular_insertion_encoding,
     member,
+    orbit_key,
     spec_from_strs,
 )
 from permgrowth.insertion import (
@@ -207,6 +208,18 @@ def test_search_112344_builds_stay_within_their_work():
     assert len(insertion._step_cache) <= 4000
     assert states == 1968
     insertion._clear_step_cache()
+
+
+def test_search_112344_classes_share_one_si_gf_per_orbit():
+    # the campaign builds one automaton per orbit_key and checks the
+    # 1,1,2,3,4,4 prefix on that g.f. only; here each class is censused
+    # afresh and its own g.f. compared exactly with its orbit's first
+    first = {}
+    for spec in _candidates_112344():
+        assert census(spec, 6).si_sequence() == [1, 1, 2, 3, 4, 4], spec
+        g = si_gf(class_gf(spec))
+        assert first.setdefault(orbit_key(spec), g) == g, spec
+    assert len(first) == 51
 
 
 def test_automaton_deterministic_and_minimal_smoke():
