@@ -1,11 +1,10 @@
 """Growth rates of sum closed permutation classes.
 
 Exact machinery for permutation containment, insertion-encoding
-generating functions, algebraic growth-rate comparison, reconstruction
-of permutations from their sum indecomposable children, and the
-classification and realization of sum indecomposable count sequences,
-together with the reproducible verification campaigns exposed by the
-``permgrowth`` command.
+generating functions, algebraic growth-rate comparison, verification that
+children determine their parent, and the classification and realization
+of sum indecomposable count sequences, together with the reproducible
+verification campaigns exposed by the ``permgrowth`` command.
 
 Each public name loads its module on first use, so a short command pays
 only for the modules its campaign runs.
@@ -19,18 +18,17 @@ _import_started = _time.monotonic()
 # the public names of each module
 _EXPORTS = {
     "perms": "Permutation all_permutations children contains direct_sum "
-    "increasing_oscillation inflate is_sum_indecomposable monotone_quotient "
-    "parse_permutation skew_sum standardize sum_components",
+    "increasing_oscillation inflate is_sum_indecomposable parse_permutation "
+    "skew_sum standardize",
     "polynomials": "IntPolynomial RationalFunction",
     "algebraics": "KAPPA_POLY XI_POLY AlgebraicNumber compare family_roots "
-    "growth_polynomial kappa largest_real_root position_vs_xi xi",
+    "growth_polynomial largest_real_root position_vs_xi xi",
     "classes": "Census ClassSpec census compute_basis member parse_basis_text spec_from_strs",
     "insertion": "Automaton IELetter NotRegular SlotBoundExceeded build_automaton "
     "class_gf decode encode si_gf",
-    "reconstruction": "k_class reconstruct_from_k sum_indecomposables "
-    "verify_reconstruction verify_taper",
+    "reconstruction": "verify_reconstruction verify_taper",
     "sequences": "SumSequence classify dominates growth_rate_of_sequence is_legal realize",
-    "tables": "enumerate_below_xi table_rows verify_table",
+    "tables": "table_rows verify_table",
     "campaigns": "CampaignReport run_campaign",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

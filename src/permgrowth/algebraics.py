@@ -181,7 +181,7 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     decided by a root of the square-free gcd in the overlap, before any
     unbounded refinement, so the function always terminates.
 
-    >>> compare(kappa(), xi())
+    >>> compare(largest_real_root(KAPPA_POLY), xi())
     -1
     """
     gcd_chain = None
@@ -256,14 +256,10 @@ def growth_polynomial(f: RationalFunction) -> IntPolynomial:
     return factor
 
 
-# Named constants.  kappa and xi carry their defining polynomials; the
-# remaining values are display-only approximations from the literature.
+# The named constants kappa and xi, by their defining polynomials; each is
+# the polynomial's largest real root.
 KAPPA_POLY = IntPolynomial([-1, 0, -2, 1])  # x^3 - 2x^2 - 1
 XI_POLY = IntPolynomial([-1, -1, -1, 0, -2, 1])  # x^5 - 2x^4 - x^2 - x - 1
-
-
-def kappa() -> AlgebraicNumber:
-    return largest_real_root(KAPPA_POLY)
 
 
 def xi() -> AlgebraicNumber:

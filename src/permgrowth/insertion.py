@@ -63,11 +63,6 @@ class IELetter(_Letter):
     def __str__(self) -> str:
         return "%s_%d" % (self.action, self.slot)
 
-    @classmethod
-    def parse(cls, text: str) -> "IELetter":
-        action, _, slot = text.partition("_")
-        return cls(action, int(slot))
-
 
 def encode(p: Permutation) -> list[IELetter]:
     """Insertion encoding of ``p``: one letter per value, in value order.

@@ -103,14 +103,6 @@ class Permutation:
             raise IndexError("index must be in 0..n-1")
         return Permutation._trusted(delete_entry(self.entries, index))
 
-    def insert(self, index: int, value: int) -> "Permutation":
-        """Insert a new entry at 0-based ``index`` with rank ``value`` in 1..n+1."""
-        if not 1 <= value <= len(self.entries) + 1:
-            raise ValueError("value must be in 1..n+1")
-        bumped = [x + 1 if x >= value else x for x in self.entries]
-        bumped.insert(index, value)
-        return Permutation._trusted(tuple(bumped))
-
 
 EMPTY = Permutation(())
 
@@ -325,26 +317,6 @@ def skew_sum(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(x + m for x in p.entries) + q.entries)
 
 
-def sum_components(p: Permutation) -> list[Permutation]:
-    """The unique maximal decomposition p = a_1 + ... + a_k into sum
-    indecomposable parts; empty list for the empty permutation.
-
-    >>> [str(c) for c in sum_components(parse_permutation("1 3 2"))]
-    ['1', '2 1']
-    """
-    parts = []
-    start = 0
-    running_max = 0
-    for i, v in enumerate(p.entries):
-        if v > running_max:
-            running_max = v
-        if running_max == i + 1:
-            # value-closed prefix boundary: cut a component
-            parts.append(Permutation._trusted(tuple(x - start for x in p.entries[start : i + 1])))
-            start = i + 1
-    return parts
-
-
 def children(p: Permutation) -> frozenset[Permutation]:
     """The set K(p) of sum indecomposable children of ``p``: its distinct
     single-entry deletion patterns that are sum indecomposable."""
@@ -361,15 +333,6 @@ class InversionGraph(NamedTuple):
 
     n: int
     edges: frozenset[tuple[int, int]]  # stored as (min, max) value pairs
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -413,43 +376,6 @@ def inversion_graph(p: Permutation) -> InversionGraph:
             if p.entries[i] > p.entries[j]:
                 edges.add((p.entries[j], p.entries[i]))
     return InversionGraph(len(p), frozenset(edges))
-
-
-class MonotoneDecomposition(NamedTuple):
-    """Quotient together with signed block lengths (positive = increasing
-    block, negative = decreasing block), one per quotient entry."""
-
-    quotient: Permutation
-    blocks: tuple[int, ...]
-
-
-def monotone_quotient(p: Permutation) -> MonotoneDecomposition:
-    """Contract all maximal monotone intervals (contiguous positions with
-    contiguous, monotone values) to single entries.
-
-    >>> d = monotone_quotient(parse_permutation("3 4 5 2 1 6 7 8 9"))
-    >>> str(d.quotient), d.blocks
-    ('2 1 3', (3, -2, 4))
-    """
-    if len(p) == 0:
-        raise ValueError("the empty permutation has no monotone quotient")
-    reps = []  # smallest value in each block
-    blocks = []
-    i = 0
-    n = len(p)
-    while i < n:
-        j = i
-        if i + 1 < n and abs(p.entries[i + 1] - p.entries[i]) == 1:
-            step = p.entries[i + 1] - p.entries[i]
-            while j + 1 < n and p.entries[j + 1] - p.entries[j] == step:
-                j += 1
-            length = j - i + 1
-            blocks.append(length if step == 1 else -length)
-        else:
-            blocks.append(1)
-        reps.append(min(p.entries[i], p.entries[j]))
-        i = j + 1
-    return MonotoneDecomposition(standardize(reps), tuple(blocks))
 
 
 def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:

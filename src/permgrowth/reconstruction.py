@@ -1,21 +1,20 @@
-"""Reconstruction of sum indecomposable permutations from their sets of sum
-indecomposable children, plus the exhaustive taper verifications.
+"""Exhaustive verification that a sum indecomposable permutation's set of
+sum indecomposable children determines it, but for the two increasing
+oscillations of each length, plus the exhaustive taper verifications.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .perms import (
     Permutation,
-    all_permutations,
     children,
     inversion_graph,
     is_sum_indecomposable,
     next_si_level,
     si_children_within,
-    skew_sum,
 )
 
 # longest length verify_reconstruction accepts: it builds the sum
@@ -26,71 +25,9 @@ from .perms import (
 RECON_BOUND = 10
 
 
-def _require_si(p: Permutation) -> None:
-    if not is_sum_indecomposable(p):
-        raise ValueError("%r is not sum indecomposable" % str(p))
-
-
-def k_class(p: Permutation) -> int:
-    """|K(p)|, the number of distinct sum indecomposable children."""
-    _require_si(p)
-    return len(children(p))
-
-
-def k1_members(n: int) -> set[Permutation]:
-    """The three sum indecomposable permutations of length n with exactly
-    one sum indecomposable child: the decreasing one and the two
-    one-entry-off-monotone shapes."""
-    if n < 3:
-        raise ValueError("length must be at least 3")
-    one = Permutation((1,))
-    increasing = Permutation(range(1, n))
-    return {
-        Permutation(range(n, 0, -1)),
-        skew_sum(one, increasing),
-        skew_sum(increasing, one),
-    }
-
-
 def is_increasing_oscillation(p: Permutation) -> bool:
     """Sum indecomposable with a path inversion graph."""
     return is_sum_indecomposable(p) and inversion_graph(p).is_path()
-
-
-class ReconstructionVerdict(NamedTuple):
-    tag: str  # "unique" | "oscillation_pair" | "no_match"
-    matches: tuple[Permutation, ...] = ()
-
-
-def reconstruct_from_k(kset: Iterable[Permutation], n: int) -> ReconstructionVerdict:
-    """Search for the sum indecomposable permutations of length n whose set
-    of sum indecomposable children equals ``kset``."""
-    kset = frozenset(kset)
-    if n < 5:
-        raise ValueError("reconstruction requires length >= 5")
-    if not kset:
-        raise ValueError("empty child set")
-    for p in kset:
-        if len(p) != n - 1:
-            raise ValueError("children must have length n - 1")
-        _require_si(p)
-    # a match has every member of kset among its children, and no sum
-    # indecomposable child outside it
-    level = {p.entries for p in kset}
-    matches = sorted(
-        Permutation._trusted(c)
-        for c, kids in next_si_level(level).items()
-        if len(kids) == len(level) and si_children_within(c, level)
-    )
-    if not matches:
-        return ReconstructionVerdict("no_match")
-    if len(matches) == 1:
-        return ReconstructionVerdict("unique", tuple(matches))
-    if len(matches) == 2 and all(is_increasing_oscillation(m) for m in matches):
-        return ReconstructionVerdict("oscillation_pair", tuple(matches))
-    raise AssertionError(
-        "K-set collision outside oscillation pairs: %s" % [str(m) for m in matches]
-    )
 
 
 class Report(NamedTuple):
@@ -100,11 +37,6 @@ class Report(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def sum_indecomposables(n: int) -> list[Permutation]:
-    """All sum indecomposable permutations of length n by brute force."""
-    return [p for p in all_permutations(n) if is_sum_indecomposable(p)]
 
 
 def verify_reconstruction(n: int) -> Report:

@@ -464,19 +464,6 @@ def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     return None
 
 
-def enumerate_below_xi(max_index: int = 6) -> list[TableEntry]:
-    """All instantiated rows of the two below-xi tables, verified: every
-    stated polynomial matches its sequence, every growth rate sits strictly
-    below xi, and the unbounded families approach xi from below."""
-    reports = [verify_table(3, max_index), verify_table(4, max_index)]
-    problems = [p for r in reports for p in r["problems"]]
-    if problems:
-        raise AssertionError("table verification failed: %s" % problems[:5])
-    entries = [e for r in reports for e in r["rows"]]
-    entries.sort(key=_by_growth)
-    return entries
-
-
 def entries_to_csv(entries: list[TableEntry]) -> str:
     lines = ["table,family,assignment,sequence,polynomial,growth,position"]
     for e in entries:

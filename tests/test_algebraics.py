@@ -10,7 +10,6 @@ from permgrowth.algebraics import (
     count_real_roots,
     family_roots,
     growth_polynomial,
-    kappa,
     largest_real_root,
     root_bound,
     xi,
@@ -49,12 +48,13 @@ def test_largest_real_root_rational_case():
 
 
 def test_kappa_and_xi_ordering():
-    assert compare(kappa(), xi()) < 0
-    assert compare(xi(), kappa()) > 0
+    kappa = largest_real_root(KAPPA_POLY)
+    assert compare(kappa, xi()) < 0
+    assert compare(xi(), kappa) > 0
     assert compare(xi(), xi()) == 0
     two = AlgebraicNumber.from_rational(Fraction(2))
     three = AlgebraicNumber.from_rational(Fraction(3))
-    assert compare(two, kappa()) < 0
+    assert compare(two, kappa) < 0
     assert compare(three, xi()) > 0
 
 
@@ -66,7 +66,7 @@ def test_refine_narrows_interval():
 
 
 def test_approx_digits():
-    assert kappa().approx(6) == "2.205569"
+    assert largest_real_root(KAPPA_POLY).approx(6) == "2.205569"
     assert xi().approx(6) == "2.305224"
 
     def approx(q, digits=6):

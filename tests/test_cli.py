@@ -69,6 +69,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["growth-rate"],
         ["growth-rate", "--seq", "2,1"],  # illegal sequence
         ["classify", "--seq", "1,,2"],  # an empty field would shift later counts
+        ["classify", "--seq", ",".join(["1"] * 65)],  # above MAX_COUNTS
         ["taper-verify", "--max-len", "7"],
         ["recon-verify", "--max-len", "11"],  # above RECON_BOUND
         ["census", "--basis", "/nonexistent/file"],
@@ -101,6 +102,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert out == "" and err.startswith("error:"), argv
         errors.append(err)
     assert "error: census --max-len must be 1..14\n" in errors
+    assert "error: a sequence has at most 64 counts\n" in errors
     assert "8-slot limit" in err
     # no campaign takes an isolation width: every digit is exactly rounded
     with pytest.raises(SystemExit) as exc:

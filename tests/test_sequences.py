@@ -11,6 +11,7 @@ from permgrowth.perms import (
     is_sum_indecomposable,
 )
 from permgrowth.sequences import (
+    MAX_COUNTS,
     NARROW,
     WIDE,
     _selection_oracle,
@@ -59,6 +60,15 @@ def test_parse_rejects_empty_fields_and_a_missing_separator(text):
     # 1,,2 read as 1,2 would move every later count down one length
     with pytest.raises(ValueError):
         S(text)
+
+
+def test_parse_reads_at_most_max_counts():
+    ones = ["1"] * MAX_COUNTS
+    assert S(",".join(ones)).terms(MAX_COUNTS) == [1] * MAX_COUNTS
+    assert S(",".join(ones[1:]) + ",(1)") == S("(1)")
+    for text in (",".join(ones + ["1"]), ",".join(ones) + ",(1)"):
+        with pytest.raises(ValueError, match="at most"):
+            S(text)
 
 
 def test_rejects_negative_counts():

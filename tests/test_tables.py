@@ -9,7 +9,6 @@ from permgrowth.tables import (
     _parse,
     _strip_trivial,
     entries_to_csv,
-    enumerate_below_xi,
     table_rows,
     verify_table,
 )
@@ -72,18 +71,6 @@ def test_verify_table_report_shape():
     assert result["checked"] == 11
 
 
-def test_enumerate_below_xi_positions_and_order():
-    entries = enumerate_below_xi(max_index=5)
-    assert entries
-    assert all(e.position == "below" for e in entries)
-    growths = [e.growth for e in entries]
-    assert growths == sorted(growths)
-    # every listed growth rate sits strictly below the threshold
-    assert growths[-1] < 2.305224
-    # the kappa row is present: first accumulation point from below
-    assert any(e.family == "1,1,2^inf" for e in entries)
-
-
 def test_entries_to_csv_format():
     text = entries_to_csv(table_rows(1))
     lines = text.splitlines()
@@ -117,6 +104,9 @@ def test_tables_below_xi_verify_at_every_index(which, max_index):
     # a valid index narrows the check; it never makes it fail
     result = verify_table(which, max_index=max_index)
     assert result["passed"], result["problems"]
+    if which == 3:
+        # kappa, the first accumulation point from below, at every index
+        assert any(e.family == "1,1,2^inf" for e in result["rows"])
 
 
 def test_verify_table_reports_each_kind_of_failure(monkeypatch):
