@@ -97,13 +97,18 @@ def _first_count_above(g, bound: int) -> Optional[int]:
     return next((n for n, v in enumerate(counts) if v > bound), None)
 
 
+_CHECK_LEN = 7  # census length that checks a class the search does not branch on
+
+
 def run_search_1123(census_len: int = 10):
     """Replay the branching search over classes whose sum indecomposable
     counts begin 1,1,2,3: branch on the first count of 5 whenever a larger
-    count follows it, verify bounded counts on every leaf via the insertion
-    encoding, and fail on any count above 5 with no 5 before it.  A class
-    whose census to ``census_len`` stays at most 5 but whose exact series
-    later exceeds 5 has its census extended to that length first."""
+    count follows it, call a class bounded when no count exceeds 5, and fail
+    on any count above 5 with no 5 before it.  The exact sum indecomposable
+    g.f. of a class decides it for all n and gives its reported counts, to
+    ``census_len`` or on to its first count above 5.  A census to the branch
+    length lists a branch's children; on other classes a census to
+    ``_CHECK_LEN`` checks the counts."""
     from .classes import census
     from .insertion import class_gf, si_gf
 
@@ -118,36 +123,27 @@ def run_search_1123(census_len: int = 10):
         if key in seen:
             continue
         seen.add(key)
-        c = census(spec, census_len)
-        seq = c.si_sequence()
-        leaf = max(seq, default=0) <= 5
-        if leaf:
-            g = si_gf(class_gf(spec))
-            over = _first_count_above(g, 5)
-            if over is not None:
-                leaf = False
-                c = census(spec, over)
-                seq = c.si_sequence()
-            # over > census_len when the engines agree; check the whole census
-            if g.series(len(seq))[1:] != seq:
-                raise AssertionError(
-                    "insertion encoding disagrees with census for %s" % (key,)
-                )
-        five_at = next((n for n, v in enumerate(seq, 1) if v == 5), None)
-        over_at = next((n for n, v in enumerate(seq, 1) if v > 5), None)
+        g = si_gf(class_gf(spec))
+        over = _first_count_above(g, 5)
+        seq = g.series(max(census_len, over or 0))[1:]
+        branch = over is not None and 5 in seq[:over]
+        n = seq.index(5) + 1 if branch else min(len(seq), _CHECK_LEN)
+        c = census(spec, n)
+        if c.si_sequence() != seq[:n]:
+            raise AssertionError("insertion encoding disagrees with census for %s" % (key,))
         entry = {"basis": list(key), "si_counts": seq}
         visited.append(entry)
-        if leaf:
+        if over is None:
             leaves += 1
             entry["verdict"] = "bounded"
-        elif five_at is None or over_at <= five_at:
-            entry["verdict"] = "counterexample"
-            counterexamples.append(entry)
-        else:
-            entry["verdict"] = "branch at length %d" % five_at
-            for child in sorted(c.si_members(five_at)):
+        elif branch:
+            entry["verdict"] = "branch at length %d" % n
+            for child in sorted(c.si_members(n)):
                 queue.append(spec.extended([child]))
             queue.sort(key=_basis_key)
+        else:
+            entry["verdict"] = "counterexample"
+            counterexamples.append(entry)
     visited.sort(key=lambda e: e["basis"])
     return (
         {"census_len": census_len},

@@ -8,6 +8,7 @@ per line, with ``#`` comments.  Census data serializes to CSV with columns
 
 from __future__ import annotations
 
+from itertools import filterfalse, islice
 from typing import Callable, Iterable, Optional
 
 from .perms import (
@@ -23,6 +24,10 @@ from .perms import (
 )
 
 CENSUS_BOUND = 14
+# the most members one census level may hold: about five times the largest
+# level a campaign builds (52 778, the xi-basis construction class at length
+# 14).  Av(321) runs to 12 (208 012 members); an empty basis is refused at 9.
+MEMBER_BOUND = 250_000
 
 
 class ClassSpec:
@@ -130,7 +135,8 @@ class Census:
 def census(spec: ClassSpec, max_len: int) -> Census:
     """Exact member/SI counts by incremental children-closed generation:
     a length-n candidate is a member iff all n of its children are members
-    of the previous level and the candidate is not itself a basis element."""
+    of the previous level and the candidate is not itself a basis element.
+    Raises ValueError on a level of more than ``MEMBER_BOUND`` members."""
     if max_len > CENSUS_BOUND:
         raise ValueError("census bound exceeded (max %d)" % CENSUS_BOUND)
     basis_by_len: dict[int, set[tuple[int, ...]]] = {}
@@ -143,7 +149,9 @@ def census(spec: ClassSpec, max_len: int) -> Census:
     out.si_counts.append(0)
     for n in range(1, max_len + 1):
         forbidden = basis_by_len.get(n, set())
-        level = {c for c in next_level(level) if c not in forbidden}
+        level = set(islice(filterfalse(forbidden.__contains__, next_level(level)), MEMBER_BOUND + 1))
+        if len(level) > MEMBER_BOUND:
+            raise ValueError("census level %d exceeds %d members" % (n, MEMBER_BOUND))
         out.levels.append(level)
         out.member_counts.append(len(level))
         out.si_counts.append(sum(1 for t in level if is_si_entries(t)))

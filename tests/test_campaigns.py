@@ -47,9 +47,9 @@ def test_taper_verify_default_pairs():
 
 
 def test_search_1123_extends_a_short_census():
-    # at census length 6 some classes still look bounded (counts
-    # 1,1,2,3,4,5); their exact series shows the later count above 5, so
-    # the search branches on them as it does with a longer census
+    # at length 6 some classes still look bounded (counts 1,1,2,3,4,5); the
+    # exact series runs on to the later count above 5, so the search
+    # branches on them as it does with longer reported counts
     report = run_campaign("search-1123", {"census_len": 6})
     assert report.passed
     assert report.parameters == {"census_len": 6}
@@ -66,6 +66,46 @@ def _counting(monkeypatch, module, name, calls):
         return original(*args)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_search_1123_decides_each_class_on_its_gf(monkeypatch):
+    # one g.f. for each of the 215 classes; besides the 3 censuses to 4 that
+    # seed the search, a census runs to the branch length or to 7
+    calls, lengths = {}, []
+    _counting(monkeypatch, insertion, "class_gf", calls)
+    original = classes.census
+
+    def census(spec, max_len):
+        lengths.append(max_len)
+        return original(spec, max_len)
+
+    monkeypatch.setattr(classes, "census", census)
+    report = run_campaign("search-1123")
+    assert report.passed
+    assert calls == {"class_gf": 215}
+    assert len(lengths) == 218 and max(lengths) == 7
+
+
+def test_search_1123_raises_when_the_census_disagrees(monkeypatch):
+    original = classes.census
+
+    def census(spec, max_len):
+        c = original(spec, max_len)
+        c.si_counts[-1] += 1
+        return c
+
+    monkeypatch.setattr(classes, "census", census)
+    with pytest.raises(AssertionError, match="disagrees with census"):
+        run_campaign("search-1123")
+
+
+def test_search_1123_has_no_fallback_for_a_class_without_gf(monkeypatch):
+    def class_gf(spec):
+        raise insertion.NotRegular("no regular insertion encoding")
+
+    monkeypatch.setattr(insertion, "class_gf", class_gf)
+    with pytest.raises(insertion.NotRegular):
+        run_campaign("search-1123")
 
 
 def test_search_112344_builds_one_gf_per_orbit(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from permgrowth import classes
 from permgrowth.classes import (
     CENSUS_BOUND,
     ClassSpec,
@@ -64,6 +65,14 @@ def test_census_levels_and_si_members():
 def test_census_bound_guard():
     with pytest.raises(ValueError):
         census(spec_from_strs("3 2 1"), CENSUS_BOUND + 1)
+
+
+def test_census_member_bound(monkeypatch):
+    # Av(321) has 5 members of length 3 and 14 of length 4
+    monkeypatch.setattr(classes, "MEMBER_BOUND", 5)
+    assert census(spec_from_strs("3 2 1"), 3).member_counts == [1, 1, 2, 5]
+    with pytest.raises(ValueError, match="census level 4 exceeds 5 members"):
+        census(spec_from_strs("3 2 1"), 4)
 
 
 def test_si_sequence_helper():

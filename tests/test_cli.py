@@ -60,6 +60,9 @@ def test_census_with_basis_file(tmp_path, capsys):
 def test_usage_errors_exit_2(tmp_path, capsys):
     basis = tmp_path / "basis.txt"
     basis.write_text("2 3 1\n")
+    # excludes nothing, so level n would hold all n! permutations
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
     # regular, but its insertion encoding needs more slots than the limit
     alternations = tmp_path / "alternations.txt"
     alternations.write_text("".join("%s\n" % vertical_alternation(18, k) for k in ALTERNATION_KINDS))
@@ -89,6 +92,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["xi-basis", "--max-len", "8"],  # the claim has 9 terms
         # above the census bound
         ["census", "--basis", str(basis), "--max-len", "15"],
+        ["census", "--basis", str(empty), "--max-len", "11"],  # above MEMBER_BOUND
         ["search-1123", "--max-len", "15"],
         ["xi-basis", "--max-len", "15"],
         ["recon-verify", "--max-len", "4"],
@@ -102,6 +106,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert out == "" and err.startswith("error:"), argv
         errors.append(err)
     assert "error: census --max-len must be 1..14\n" in errors
+    assert "error: census level 9 exceeds 250000 members\n" in errors
     assert "error: a sequence has at most 64 counts\n" in errors
     assert "8-slot limit" in err
     # no campaign takes an isolation width: every digit is exactly rounded
