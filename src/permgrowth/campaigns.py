@@ -66,16 +66,50 @@ def _basis_key(spec: ClassSpec) -> tuple:
     return tuple(str(p) for p in spec.sorted_basis())
 
 
-def _initial_1123() -> list[ClassSpec]:
+def _classes_with_prefix(prefix: tuple[int, ...]) -> list[ClassSpec]:
+    """Every class with basis elements of length at most ``len(prefix)``
+    whose sum indecomposable counts begin ``prefix``, which begins 1,1,2.
+    Each starts at Av(r) for a sum indecomposable r of length 3; at each
+    length n from 4 on, it excludes every choice of sum indecomposable
+    members that leaves exactly ``prefix[n-1]`` of them.
+
+    >>> len(_classes_with_prefix((1, 1, 2, 3)))
+    30
+    """
     from .classes import census, spec_from_strs
 
-    out = []
-    for r3 in _SI3:
-        base = spec_from_strs(r3)
-        si4 = census(base, 4).si_members(4)
-        for pair in combinations(sorted(si4), 2):
-            out.append(base.extended(pair))
-    return sorted(out, key=_basis_key)
+    level = [spec_from_strs(r) for r in _SI3]
+    for n in range(4, len(prefix) + 1):
+        deeper = []
+        for spec in level:
+            si = sorted(census(spec, n).si_members(n))
+            if len(si) >= prefix[n - 1]:
+                deeper.extend(spec.extended(drop) for drop in combinations(si, len(si) - prefix[n - 1]))
+        level = deeper
+    return sorted(level, key=_basis_key)
+
+
+def _si_gf_per_orbit() -> Callable[[ClassSpec], Any]:
+    """A function from a class to its sum indecomposable g.f., built once
+    per ``orbit_key``.
+
+    Inverse and reverse-complement map sum indecomposables to sum
+    indecomposables, as (a⊕b)⁻¹ = a⁻¹⊕b⁻¹ and rc(a⊕b) = rc(b)⊕rc(a), and
+    map Av(B) onto Av(B⁻¹) and Av(rc(B)), so the classes of one key share
+    the g.f.  Each caller checks every class against it, so a wrong merge
+    raises."""
+    from .classes import orbit_key
+    from .insertion import class_gf, si_gf
+
+    gfs: dict[tuple, Any] = {}
+
+    def gf(spec: ClassSpec):
+        key = orbit_key(spec)
+        if key not in gfs:
+            gfs[key] = si_gf(class_gf(spec))
+        return gfs[key]
+
+    return gf
 
 
 # how far the series of a sum indecomposable g.f. with no period <= 12 is
@@ -110,20 +144,18 @@ def run_search_1123(census_len: int = 10):
     length lists a branch's children; on other classes a census to
     ``_CHECK_LEN`` checks the counts."""
     from .classes import census
-    from .insertion import class_gf, si_gf
 
-    queue = _initial_1123()
+    gf = _si_gf_per_orbit()
+    queue = _classes_with_prefix((1, 1, 2, 3))
     seen: set[tuple] = set()
     visited: list[dict] = []
-    counterexamples: list[dict] = []
-    leaves = 0
     while queue:
-        spec = queue.pop(0)
+        spec = queue.pop()
         key = _basis_key(spec)
         if key in seen:
             continue
         seen.add(key)
-        g = si_gf(class_gf(spec))
+        g = gf(spec)
         over = _first_count_above(g, 5)
         seq = g.series(max(census_len, over or 0))[1:]
         branch = over is not None and 5 in seq[:over]
@@ -131,20 +163,17 @@ def run_search_1123(census_len: int = 10):
         c = census(spec, n)
         if c.si_sequence() != seq[:n]:
             raise AssertionError("insertion encoding disagrees with census for %s" % (key,))
-        entry = {"basis": list(key), "si_counts": seq}
-        visited.append(entry)
         if over is None:
-            leaves += 1
-            entry["verdict"] = "bounded"
+            verdict = "bounded"
         elif branch:
-            entry["verdict"] = "branch at length %d" % n
-            for child in sorted(c.si_members(n)):
-                queue.append(spec.extended([child]))
-            queue.sort(key=_basis_key)
+            verdict = "branch at length %d" % n
+            queue.extend(spec.extended([child]) for child in c.si_members(n))
         else:
-            entry["verdict"] = "counterexample"
-            counterexamples.append(entry)
+            verdict = "counterexample"
+        visited.append({"basis": list(key), "si_counts": seq, "verdict": verdict})
     visited.sort(key=lambda e: e["basis"])
+    counterexamples = [e for e in visited if e["verdict"] == "counterexample"]
+    leaves = sum(e["verdict"] == "bounded" for e in visited)
     return (
         {"census_len": census_len},
         not counterexamples,
@@ -159,68 +188,33 @@ def run_search_1123(census_len: int = 10):
     )
 
 
-def _candidates_112344() -> list[ClassSpec]:
-    """All classes with basis elements of length at most 6 whose sum
-    indecomposable counts begin 1,1,2,3,4,4.  A class is determined by its
-    exclusions at each length, which must leave exactly 3, 4, 4 sum
-    indecomposable members at lengths 4, 5, 6."""
-    from .classes import census, spec_from_strs
-
-    found: dict[tuple, ClassSpec] = {}
-    for r3 in _SI3:
-        base = spec_from_strs(r3)
-        si4 = sorted(census(base, 4).si_members(4))
-        for drop4 in combinations(si4, len(si4) - 3):
-            spec4 = base.extended(drop4)
-            si5 = sorted(census(spec4, 5).si_members(5))
-            if len(si5) < 4:
-                continue
-            for drop5 in combinations(si5, len(si5) - 4):
-                spec5 = spec4.extended(drop5)
-                si6 = sorted(census(spec5, 6).si_members(6))
-                if len(si6) < 4:
-                    continue
-                for drop6 in combinations(si6, len(si6) - 4):
-                    spec6 = spec5.extended(drop6)
-                    found[_basis_key(spec6)] = spec6
-    return [found[k] for k in sorted(found)]
-
-
 def run_search_112344():
     """Examine every class with basis of length at most 6 whose sum
     indecomposable counts begin 1,1,2,3,4,4 and report which ever reach a
-    count of 5.
+    count of 5.  Each class's first six counts on its orbit's g.f. must be
+    the ones the enumeration's censuses fixed, which checks the census
+    against the automaton."""
+    from .classes import ClassSpec, spec_from_strs
+    from .insertion import eventual_period
 
-    Inverse and reverse-complement map sum indecomposables to sum
-    indecomposables, as (a⊕b)⁻¹ = a⁻¹⊕b⁻¹ and rc(a⊕b) = rc(b)⊕rc(a), and
-    map Av(B) onto Av(B⁻¹) and Av(rc(B)).  So the classes of one
-    ``orbit_key`` share their sum indecomposable g.f., which is computed
-    once per key.  Its first six counts must be the ones the enumeration's
-    censuses fixed, which checks the census against the automaton."""
-    from .classes import ClassSpec, orbit_key, spec_from_strs
-    from .insertion import class_gf, eventual_period, si_gf
-
-    specs = _candidates_112344()
-    orbits: dict[tuple, tuple] = {}  # orbit key -> (prefix, period)
+    gf = _si_gf_per_orbit()
+    prefix = (1, 1, 2, 3, 4, 4)
+    specs = _classes_with_prefix(prefix)
     with_five, five_specs = [], []
     for spec in specs:
-        key = orbit_key(spec)
-        if key not in orbits:
-            g = si_gf(class_gf(spec))
-            if g.series(6)[1:] != [1, 1, 2, 3, 4, 4]:
-                raise AssertionError("enumeration produced a wrong prefix")
-            orbits[key] = eventual_period(g)
-        prefix, period = orbits[key]
-        if 5 in prefix[1:]:
+        g = gf(spec)
+        if tuple(g.series(len(prefix))[1:]) != prefix:
+            raise AssertionError("enumeration produced a wrong prefix")
+        counts, period = eventual_period(g)
+        if 5 in counts[1:]:
             five_specs.append(spec)
             with_five.append(
                 {
                     "basis": list(_basis_key(spec)),
-                    "si_counts": prefix[1:],
+                    "si_counts": counts[1:],
                     "period": period,
                 }
             )
-    with_five.sort(key=lambda e: e["basis"])
     expected = {
         _basis_key(
             spec_from_strs("3 2 1", "3 4 1 2", "4 1 2 3", "2 3 4 5 1", "3 1 4 6 2 5")

@@ -420,8 +420,6 @@ def increasing_oscillation(n: int, primary: bool = True) -> Permutation:
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if not primary and n < 3:
-        raise ValueError("non-primary oscillations require length >= 3")
     if n == 1:
         return Permutation((1,))
     vals = [0] * n
@@ -484,7 +482,7 @@ def tail_member(n: int) -> Permutation:
     """
     if n < 2:
         raise ValueError("length must be at least 2")
-    core = increasing_oscillation(n - 1, primary=(n % 2 == 0) or n < 4)
+    core = increasing_oscillation(n - 1, primary=n % 2 == 0)
     return inflate_one(core, core.entries.index(n - 1), Permutation((1, 2)))
 
 

@@ -8,7 +8,7 @@ from permgrowth.algebraics import XI_POLY, family_roots, growth_polynomial, larg
 from permgrowth.campaigns import run_campaign
 from permgrowth.classes import orbit_key, spec_from_strs
 from permgrowth.insertion import class_gf
-from permgrowth.polynomials import IntPolynomial
+from permgrowth.polynomials import IntPolynomial, RationalFunction
 from permgrowth.sequences import SumSequence, growth_rate_of_sequence, realize
 
 
@@ -69,8 +69,9 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_search_1123_decides_each_class_on_its_gf(monkeypatch):
-    # one g.f. for each of the 215 classes; besides the 3 censuses to 4 that
-    # seed the search, a census runs to the branch length or to 7
+    # one g.f. for each of the 68 symmetry classes of the 215 classes;
+    # besides the 3 censuses to 4 that seed the search, a census runs to the
+    # branch length or to 7 on every class
     calls, lengths = {}, []
     _counting(monkeypatch, insertion, "class_gf", calls)
     original = classes.census
@@ -82,7 +83,7 @@ def test_search_1123_decides_each_class_on_its_gf(monkeypatch):
     monkeypatch.setattr(classes, "census", census)
     report = run_campaign("search-1123")
     assert report.passed
-    assert calls == {"class_gf": 215}
+    assert calls == {"class_gf": 68}
     assert len(lengths) == 218 and max(lengths) == 7
 
 
@@ -97,6 +98,27 @@ def test_search_1123_raises_when_the_census_disagrees(monkeypatch):
     monkeypatch.setattr(classes, "census", census)
     with pytest.raises(AssertionError, match="disagrees with census"):
         run_campaign("search-1123")
+
+
+def test_search_1123_checks_each_class_against_its_orbit_gf(monkeypatch):
+    # merging every class into one orbit hands most classes a g.f. that is
+    # not theirs, and their own census catches it
+    monkeypatch.setattr(classes, "orbit_key", lambda spec: ())
+    with pytest.raises(AssertionError, match="disagrees with census"):
+        run_campaign("search-1123")
+
+
+def test_first_count_above():
+    x = IntPolynomial([0, 1])
+    one_minus_x = IntPolynomial([1, -1])
+    assert campaigns._first_count_above(RationalFunction(x, one_minus_x), 5) is None
+    assert campaigns._first_count_above(RationalFunction(IntPolynomial([0, 6]), one_minus_x), 5) == 1
+    # the Fibonacci counts 1,1,2,3,5,8 have no period, so the series decides
+    fibonacci = RationalFunction(x, IntPolynomial([1, -1, -1]))
+    assert campaigns._first_count_above(fibonacci, 5) == 6
+    # period 13 is past the longest period tried, and the series stays <= 5
+    with pytest.raises(ValueError):
+        campaigns._first_count_above(RationalFunction(IntPolynomial([1]), IntPolynomial([1] + [0] * 12 + [-1])), 5)
 
 
 def test_search_1123_has_no_fallback_for_a_class_without_gf(monkeypatch):
@@ -127,7 +149,7 @@ def test_search_112344_builds_one_gf_per_orbit(monkeypatch):
 def test_search_112344_checks_the_prefix_on_the_gf(monkeypatch):
     # the Fibonacci class's sum indecomposable counts begin 1,1,2,3,5,8
     fibonacci = spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")
-    monkeypatch.setattr(campaigns, "_candidates_112344", lambda: [fibonacci])
+    monkeypatch.setattr(campaigns, "_classes_with_prefix", lambda prefix: [fibonacci])
     with pytest.raises(AssertionError, match="wrong prefix"):
         run_campaign("search-112344")
 

@@ -7,7 +7,7 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "name", ["perms", "classes", "polynomials", "algebraics", "sequences", "insertion", "tables"]
+    "name", ["perms", "classes", "campaigns", "polynomials", "algebraics", "sequences", "insertion", "tables"]
 )
 def test_docstring_examples(name):
     module = importlib.import_module("permgrowth." + name)

@@ -2,7 +2,7 @@ import pytest
 from test_acceptance import XI_WITNESS_BASIS
 
 from permgrowth import insertion
-from permgrowth.campaigns import _candidates_112344
+from permgrowth.campaigns import _classes_with_prefix
 from permgrowth.classes import (
     census,
     embeds_in_alternation,
@@ -32,6 +32,9 @@ from permgrowth.perms import (
     vertical_alternation,
 )
 from permgrowth.polynomials import IntPolynomial, RationalFunction
+
+# the counts that start every class search-112344 examines
+SEARCH_112344_PREFIX = (1, 1, 2, 3, 4, 4)
 
 
 def test_encode_decode_examples():
@@ -105,7 +108,7 @@ def test_class_gf_matches_census(basis):
 
 
 def _certificate_specs():
-    yield from _candidates_112344()
+    yield from _classes_with_prefix(SEARCH_112344_PREFIX)
     yield spec_from_strs("1")
     yield spec_from_strs("1 2")
     yield spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")  # the Fibonacci class
@@ -202,18 +205,18 @@ def test_search_112344_builds_stay_within_their_work():
     # embeddings have one entry left keeps the steps these builds cache near
     # 3 727 (11 178 without the cut), and the automata stay the same size
     insertion._clear_step_cache()
-    states = sum(build_automaton(spec).num_states for spec in _candidates_112344())
+    states = sum(build_automaton(spec).num_states for spec in _classes_with_prefix(SEARCH_112344_PREFIX))
     assert len(insertion._step_cache) <= 4000
     assert states == 1968
     insertion._clear_step_cache()
 
 
 def test_search_112344_classes_share_one_si_gf_per_orbit():
-    # the campaign builds one automaton per orbit_key and checks the
-    # 1,1,2,3,4,4 prefix on that g.f. only; here each class is censused
-    # afresh and its own g.f. compared exactly with its orbit's first
+    # the campaign builds one automaton per orbit_key and checks each
+    # class's 1,1,2,3,4,4 prefix on its orbit's g.f.; here each class is
+    # censused afresh and its own g.f. compared exactly with its orbit's first
     first = {}
-    for spec in _candidates_112344():
+    for spec in _classes_with_prefix(SEARCH_112344_PREFIX):
         assert census(spec, 6).si_sequence() == [1, 1, 2, 3, 4, 4], spec
         g = si_gf(class_gf(spec))
         assert first.setdefault(orbit_key(spec), g) == g, spec

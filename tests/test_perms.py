@@ -115,6 +115,9 @@ def test_children_of_increasing():
 def test_increasing_oscillation_closed_form():
     assert increasing_oscillation(1) == P("1")
     assert increasing_oscillation(2) == P("2 1")
+    # 1 and 21 are their own inverses, so the two types coincide there
+    assert increasing_oscillation(1, primary=False) == P("1")
+    assert increasing_oscillation(2, primary=False) == P("2 1")
     assert increasing_oscillation(3, primary=True) == P("2 3 1")
     assert increasing_oscillation(3, primary=False) == P("3 1 2")
     assert increasing_oscillation(7) == P("2 4 1 6 3 7 5")
