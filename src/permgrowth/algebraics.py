@@ -9,16 +9,17 @@ an isolating interval), so comparisons against the named constants are
 exact rather than floating point.  ``growth_polynomial`` names a growth
 rate by the irreducible integer factor that owns it, found with
 ``polynomials.irreducible_factors``.  A root is isolated once and refined
-on demand: ``compare``, ``approx`` and ``to_float`` narrow it as far as
-they need, so no answer or printed digit depends on the width; a reader of
-``lo``/``hi`` calls ``refine(eps)`` first.
+on demand: ``compare`` and ``approx`` narrow it as far as they need, so
+no answer or printed digit depends on the width; a reader of ``lo``/``hi``
+calls ``refine(eps)`` first.  ``family_roots`` is the one exact check
+that a family of roots converges, for the tables and ``accumulation``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .polynomials import (
     IntPolynomial,
@@ -125,10 +126,6 @@ class AlgebraicNumber:
             object.__setattr__(self, "hi", m)
         else:
             object.__setattr__(self, "lo", m)
-
-    def to_float(self) -> float:
-        self.refine(Fraction(1, 10**15))
-        return float((self.lo + self.hi) / 2)
 
     def approx(self, digits: int = 6) -> str:
         """Decimal string with ``digits`` places, |x| rounded half up.
@@ -271,24 +268,37 @@ def position_vs_xi(growth: AlgebraicNumber) -> str:
     return "below_xi" if c < 0 else ("equal_xi" if c == 0 else "above_xi")
 
 
-def family_roots(
-    f: IntPolynomial,
-    g: IntPolynomial,
-    shift: Callable[[int], int],
-    i_range: Iterable[int],
-) -> list[AlgebraicNumber]:
-    """Largest real roots of h_i = x^shift(i) * f + g over ``i_range``.
+GAP_WIDTH = Fraction(1, 10**9)  # both roots' width in the gap test of family_roots
 
-    When g is negative just right of f's largest root r, the roots decrease
-    strictly toward r from above; that is asserted, and violations raise
-    (signalling use outside the intended hypotheses).
+
+def family_roots(polys: Iterable[IntPolynomial], limit: IntPolynomial, side: int,
+                 gap: Optional[Fraction] = None) -> tuple[list[AlgebraicNumber], Optional[str]]:
+    """Largest real roots of ``polys``, with the first of these conditions
+    they break, or None.  Write r for the largest real root of ``limit``:
+
+    * each root is strictly closer to r than the one before it;
+    * each root lies on the side of r that ``side`` names: 1 above, -1 below;
+    * with ``gap`` given, the last root lies within ``gap`` of r: refined to
+      width ``GAP_WIDTH``, the two intervals span less than ``gap``.
+
+    Every test is exact.  The roots of x^i * kappa_poly + 1 rise to kappa:
+
+    >>> one = IntPolynomial([1])
+    >>> roots, problem = family_roots(
+    ...     [KAPPA_POLY.shift(i) + one for i in range(4)], KAPPA_POLY, -1, Fraction(1, 20))
+    >>> [r.approx(4) for r in roots], problem
+    (['2.0000', '2.1177', '2.1675', '2.1888'], None)
     """
-    r = largest_real_root(f)
-    roots = [largest_real_root(f * IntPolynomial.monomial(shift(i)) + g) for i in i_range]
-    for a, b in zip(roots, roots[1:]):
-        if not compare(b, a) < 0:
-            raise ValueError("family roots are not strictly decreasing")
-    for a in roots:
-        if not compare(a, r) > 0:
-            raise ValueError("family root does not exceed the base root")
-    return roots
+    r = largest_real_root(limit)
+    roots = [largest_real_root(p) for p in polys]
+    # roots on r's side move toward it iff each lies on that side of the next
+    if any(compare(a, b) != side for a, b in zip(roots, roots[1:])):
+        return roots, "family roots do not move strictly toward the limit"
+    if any(compare(a, r) != side for a in roots):
+        return roots, "family root is not %s the limit" % ("above" if side == 1 else "below")
+    if gap is not None:
+        for a in (roots[-1], r):
+            a.refine(GAP_WIDTH)
+        if max(roots[-1].hi, r.hi) - min(roots[-1].lo, r.lo) >= gap:
+            return roots, "family roots do not approach the limit"
+    return roots, None

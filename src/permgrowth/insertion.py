@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .classes import ClassSpec, has_regular_insertion_encoding
 from .perms import Permutation
-from .polynomials import ONE, IntPolynomial, RationalFunction
+from .polynomials import IntPolynomial, RationalFunction
 
 ACTIONS = ("f", "l", "r", "m")
 # how each action changes the number of open slots
@@ -474,8 +474,8 @@ def si_gf(f: RationalFunction) -> RationalFunction:
     closed classes: g = 1 - 1/f."""
     if f.den(0) == 0 or f.num(0) / f.den(0) != 1:
         raise ValueError("class generating function must have constant term 1")
-    one = RationalFunction.from_poly(ONE)
-    return one - f.inverse()
+    # f = P/Q gives g = (P - Q)/P, in lowest terms as gcd(P - Q, P) = gcd(Q, P)
+    return RationalFunction(f.num - f.den, f.num)
 
 
 _MAX_PERIOD = 12

@@ -33,20 +33,20 @@ checks the entries it returns.  Verification per instantiated row:
   instead carry a positivity certificate: stated = x^a * F + R where R has
   nonnegative coefficients and F has no real root above xi, which forces
   stated > 0 on [xi, infinity).
+
+Each convergent family is checked exactly by ``algebraics.family_roots``:
+its roots move strictly toward the limit, the last within 1/20 of it.  The
+one float, an entry's ``growth``, orders the rows and fills the CSV column
+but decides no verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .algebraics import (
-    KAPPA_POLY,
-    XI_POLY,
-    compare,
-    largest_real_root,
-    xi,
-)
+from .algebraics import KAPPA_POLY, XI_POLY, compare, family_roots, largest_real_root, xi
 from .polynomials import ONE, IntPolynomial
 from .sequences import (
     SumSequence,
@@ -440,28 +440,19 @@ def verify_table(which: int, max_index: int = 6) -> dict:
 
 def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
-    approach the family limit monotonically from the side ``row.position``
-    names, and, once the values reach the last listed index, come within
-    0.05 of it."""
+    approach the family limit strictly from the side ``row.position`` names
+    and, once the values reach the last listed index, lie within 1/20 of
+    it, exactly by ``family_roots``."""
     names = _parse(row.family)[2]
-    name = names[0]
     listed = row.params[0]
     values = [v for v in listed if v <= max_index]
     if len(values) < 2:
         return None
     rest = {n: vals[0] for n, vals in zip(names[1:], row.params[1:])}
+    polys = [row.poly({**rest, names[0]: v}) for v in values]
     side = 1 if row.position == "above" else -1  # sign of root - limit
-    limit = largest_real_root(row.limit)
-    roots = [largest_real_root(row.poly({**rest, name: v})) for v in values]
-    for a, b in zip(roots, roots[1:]):
-        if compare(a, b) != side:
-            return "family roots do not move strictly toward the limit"
-    for r in roots:
-        if compare(r, limit) != side:
-            return "family root is not %s the limit" % row.position
-    if values[-1] == listed[-1] and abs(limit.to_float() - roots[-1].to_float()) >= 0.05:
-        return "family roots do not approach the limit"
-    return None
+    gap = Fraction(1, 20) if values[-1] == listed[-1] else None
+    return family_roots(polys, row.limit, side, gap)[1]
 
 
 def entries_to_csv(entries: list[TableEntry]) -> str:

@@ -229,11 +229,13 @@ def test_xi_basis_campaign_reports_discrepancy():
 def test_accumulation_family():
     eps = Fraction(1, 10**9)
     f = XI_POLY * IntPolynomial([1, 1])
-    roots = family_roots(f, IntPolynomial([-1]), lambda i: 2 * i + 1, range(1, 11))
+    polys = [f.shift(2 * i + 1) - IntPolynomial([1]) for i in range(1, 11)]
+    roots, problem = family_roots(polys, XI_POLY, 1, Fraction(1, 1000))
     roots[-1].refine(eps)
     x = xi()
     x.refine(eps)
-    # family_roots already asserts strict decrease and > base root
+    # family_roots has shown the strict decrease, each root above xi and the gap
+    assert problem is None
     assert len(roots) == 10
     for r in roots:
         assert compare(r, x) > 0

@@ -99,12 +99,55 @@ def test_compare_distinguishes_close_roots():
     assert compare(r2, xi()) > 0
 
 
-def test_family_roots_decreasing():
+def _accumulation_polys(n):
     f = XI_POLY * IntPolynomial([1, 1])
-    roots = family_roots(f, IntPolynomial([-1]), lambda i: 2 * i + 1, range(1, 4))
+    return [f.shift(2 * i + 1) - ONE for i in range(1, n + 1)]
+
+
+def _kappa_polys(n):
+    # table 3's 1,1,2^i,1^inf, whose roots rise to kappa
+    return [KAPPA_POLY.shift(i) + ONE for i in range(n)]
+
+
+def test_family_roots_decreasing():
+    roots, problem = family_roots(_accumulation_polys(3), XI_POLY, 1)
+    assert problem is None
     assert len(roots) == 3
     assert compare(roots[1], roots[0]) < 0
     assert compare(roots[2], roots[1]) < 0
+
+
+def test_family_roots_from_above_and_below():
+    roots, problem = family_roots(_accumulation_polys(10), XI_POLY, 1, Fraction(1, 1000))
+    assert problem is None
+    assert all(compare(r, xi()) > 0 for r in roots)
+    kappa = largest_real_root(KAPPA_POLY)
+    roots, problem = family_roots(_kappa_polys(7), KAPPA_POLY, -1, Fraction(1, 20))
+    assert problem is None
+    assert all(compare(a, b) < 0 for a, b in zip(roots, roots[1:]))
+    assert all(compare(r, kappa) < 0 for r in roots)
+
+
+def test_family_roots_names_the_first_broken_condition():
+    polys = _kappa_polys(3)
+    # read backwards, the roots move away from kappa
+    assert family_roots(polys[::-1], KAPPA_POLY, -1)[1] == (
+        "family roots do not move strictly toward the limit"
+    )
+    # the roots 2, 2.117..., 2.167... straddle 2.1
+    assert family_roots(polys, IntPolynomial([-21, 10]), -1)[1] == (
+        "family root is not below the limit"
+    )
+    # the same roots rise, so they do not move toward kappa from above
+    assert family_roots(polys, KAPPA_POLY, 1)[1] == (
+        "family roots do not move strictly toward the limit"
+    )
+    # the root at index 1 is 0.088 below kappa, the root at index 6 0.0015
+    assert family_roots(polys[:2], KAPPA_POLY, -1)[1] is None
+    assert family_roots(polys[:2], KAPPA_POLY, -1, Fraction(1, 20))[1] == (
+        "family roots do not approach the limit"
+    )
+    assert family_roots(_kappa_polys(7), KAPPA_POLY, -1, Fraction(1, 50))[1] is None
 
 
 def test_growth_polynomial_fibonacci():

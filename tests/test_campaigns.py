@@ -212,8 +212,8 @@ def test_reports_do_not_depend_on_how_far_roots_were_narrowed():
         ("growth-rate", {"spec": witness},
          lambda: [largest_real_root(growth_polynomial(class_gf(witness)))]),
         ("accumulation", {},
-         lambda: family_roots(XI_POLY * IntPolynomial([1, 1]), IntPolynomial([-1]),
-                              lambda i: 2 * i + 1, range(1, 11))),
+         lambda: family_roots([(XI_POLY * IntPolynomial([1, 1])).shift(2 * i + 1)
+                               - IntPolynomial([1]) for i in range(1, 11)], XI_POLY, 1)[0]),
     )
     for name, params, roots in runs:
         largest_real_root.cache_clear()

@@ -32,6 +32,17 @@ def test_fail_exit_code(capsys):
     assert doc["artifacts"]["quoted_matches_claim"] is False
 
 
+def test_accumulation_family_that_misses_its_gap_fails(monkeypatch, capsys):
+    # the last root lies 1.9e-10 above xi, so a gap of 1e-11 is not met; a
+    # broken condition is a failed claim, not a usage error
+    monkeypatch.setattr(campaigns, "_ACCUMULATION_GAP", "1/100000000000")
+    assert main(["accumulation"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "fail"
+    assert doc["artifacts"]["final_gap_below_1e-3"] is False
+    assert doc["artifacts"]["problem"] == "family roots do not approach the limit"
+
+
 def test_classify_via_seq_flag(capsys):
     assert main(["classify", "--seq", "1,1,2,3,(4)"]) == 0
     doc = json.loads(capsys.readouterr().out)
