@@ -15,6 +15,7 @@ from .perms import (
     EMPTY,
     Permutation,
     contains,
+    direct_sum,
     is_si_entries,
     is_sum_indecomposable,
     next_level,
@@ -172,7 +173,10 @@ def compute_basis(
     in the level (and about the empty permutation and 1); a rejected one is
     a basis element.  Raises ValueError if the oracle accepts an SI
     one-point extension of a basis element shorter than ``max_len``, which
-    no downward closed oracle does and the walk never asks about.
+    no downward closed oracle does and the walk never asks about, or if it
+    rejects the sum of two SI members of length <= 3 that it accepts, which
+    no sum closed oracle does and the walk, asking only about SI
+    permutations, would not see.
 
     >>> av321 = lambda p: not contains(Permutation((3, 2, 1)), p)
     >>> sorted(map(str, compute_basis(av321, 5)))
@@ -183,24 +187,31 @@ def compute_basis(
     one = Permutation((1,))
     if not oracle(one):
         return {one}
-    basis: set[tuple[int, ...]] = set()
-    level = {one.entries}
+    basis: set[bytes] = set()
+    level = {bytes((1,))}
+    short = [one]  # the SI members of length <= 3
     for n in range(2, max_len + 1):
         nxt = set()
-        for c in next_si_level(level):
+        for c, _, _ in next_si_level(level):
             if not si_children_within(c, level):
                 continue
-            if oracle(Permutation._trusted(c)):
+            if oracle(Permutation._trusted(tuple(c))):
                 nxt.add(c)
             else:
                 basis.add(c)
         level = nxt
+        if n <= 3:
+            short += (Permutation._trusted(tuple(c)) for c in sorted(nxt))
     for b in sorted(b for b in basis if len(b) < max_len):
-        for c in sorted(next_si_level({b})):
-            p = Permutation._trusted(c)
+        for c in sorted(c for c, _, _ in next_si_level({b})):
+            p = Permutation._trusted(tuple(c))
             if oracle(p):
                 raise ValueError("oracle violates downward closure at %s" % p)
-    return set(map(Permutation._trusted, basis))
+    for a in short:
+        for b in short:
+            if not oracle(direct_sum(a, b)):
+                raise ValueError("oracle is not sum closed: it rejects %s" % direct_sum(a, b))
+    return {Permutation._trusted(tuple(b)) for b in basis}
 
 
 # the directions of the bottom and the top half of each kind of vertical

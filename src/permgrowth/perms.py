@@ -7,19 +7,22 @@ immutable, so everything here is safe to use from concurrent callers.
 Text format: space-separated values, e.g. ``"2 4 1 3"``; the empty string
 denotes the empty permutation.
 
-The enumeration loops of the package run on plain entry tuples rather than
-on :class:`Permutation` objects; the tuple helpers (``is_si_entries``,
+The enumeration loops of the package run on plain entries rather than on
+:class:`Permutation` objects; the entry helpers (``is_si_entries``,
 ``delete_entry``, ``si_children_within``, ``next_level`` and
 ``next_si_level``) are the single implementation behind both.
 
-The two level steps grow a set of tuples by one length.  ``next_level``
-(the census of any class) works by active sites: one bitmask AND over a
-member's deletions says at which positions a new maximum gives a candidate
-whose children all lie in the level.  ``next_si_level`` (every walk over
-the sum indecomposable members of a sum closed set: basis search,
-reconstruction, K^(m)) inserts an entry into each member in every way but
-the two that make a sum, and maps each new tuple to its children in the
-level; the basis search and K^(m) keep the candidates that pass
+The two level steps grow a set of members by one length.  ``next_level``
+(the census of any class, on entry tuples) works by active sites: one
+bitmask AND over a member's deletions says at which positions a new
+maximum gives a candidate whose children all lie in the level.
+``next_si_level`` (every walk over the sum indecomposable members of a sum
+closed set: basis search, reconstruction, K^(m)) works on entry strings,
+``bytes`` with one byte per entry.  It inserts an entry into each member in
+every way but the two that make a sum, and gives each new string once with
+the count of its children in the level and an order-free digest of them;
+reconstruction groups by the digest, K^(m) filters on the count, and the
+basis search and K^(m) keep the candidates that pass
 ``si_children_within``.
 """
 
@@ -126,9 +129,10 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation._trusted(p)
 
 
-def is_si_entries(t: tuple[int, ...]) -> bool:
-    """Sum indecomposability of an entry tuple: no proper prefix of length k
-    uses exactly the values 1..k.  The empty tuple is not sum indecomposable."""
+def is_si_entries(t: Sequence[int]) -> bool:
+    """Sum indecomposability of an entry tuple or string: no proper prefix
+    of length k uses exactly the values 1..k.  The empty one is not sum
+    indecomposable."""
     hi = 0
     for k in range(len(t) - 1):
         if t[k] > hi:
@@ -144,21 +148,43 @@ def delete_entry(t: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(x - 1 if x > v else x for x in t[:index] + t[index + 1:])
 
 
-def si_children_within(t: tuple[int, ...], level: set[tuple[int, ...]]) -> bool:
-    """True iff every sum indecomposable child of ``t`` lies in ``level``;
-    the scan stops at the first that does not, where most candidates fail.
+# translation tables of the entry strings: _UP[v] raises the entries >= v
+# by one, _DOWN[v] lowers the entries > v by one
+_BYTES = bytes(range(256))
+_UP = [_BYTES[:v] + _BYTES[v + 1:] + b"\0" for v in range(256)]
+_DOWN = [_BYTES[:v + 1] + _BYTES[v:255] for v in range(256)]
+_MASK64 = (1 << 64) - 1
 
-    >>> si_children_within((2, 3, 1), {(2, 1)})
+
+def si_children_within(t: bytes, level: set[bytes]) -> bool:
+    """True iff every sum indecomposable child of the entry string ``t``
+    lies in ``level``; the scan stops at the first that does not, where
+    most candidates fail.
+
+    >>> si_children_within(bytes((2, 3, 1)), {bytes((2, 1))})
     True
-    >>> si_children_within((2, 4, 1, 3), {(2, 3, 1)})
+    >>> si_children_within(bytes((2, 4, 1, 3)), {bytes((2, 3, 1))})
     False
     """
     for i, v in enumerate(t):
-        # delete_entry inlined for speed
-        c = tuple(x - 1 if x > v else x for x in t[:i] + t[i + 1:])
+        c = (t[:i] + t[i + 1:]).translate(_DOWN[v])
         if c not in level and is_si_entries(c):
             return False
     return True
+
+
+def member_id(t: bytes) -> int:
+    """A fixed 64-bit id of the entry string ``t``: the splitmix64
+    finalizer of its entries read as one integer and reduced mod 2^61 - 1.
+    Distinct strings of at most seven entries get distinct ids.
+
+    >>> member_id(bytes((2, 1))) == member_id(bytes((2, 1))) != member_id(bytes((1, 2)))
+    True
+    """
+    z = int.from_bytes(t, "big") % 0x1FFFFFFFFFFFFFFF
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
 
 def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -209,11 +235,13 @@ def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
             pos += 1
 
 
-def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Every sum indecomposable entry tuple one longer than the members of
-    ``level`` that has a child in ``level``, mapped to the tuple of those
-    children.  ``level`` must hold sum indecomposable tuples of a single
-    length.
+def next_si_level(level: set[bytes]) -> Iterator[tuple[bytes, int, int]]:
+    """Every sum indecomposable entry string one longer than the members of
+    ``level`` that has a child in ``level``, each once, as ``(candidate,
+    count, digest)``: ``count`` is the number of its children in ``level``
+    and ``digest`` the sum mod 2^64 of their ``member_id``s, so equal child
+    sets give equal digests.  ``level`` must hold sum indecomposable
+    strings of a single length below 255.
 
     This works from the insertion side: each single-entry insertion into a
     member is a candidate, and the member is one of its children.  Deleting
@@ -223,34 +251,57 @@ def next_si_level(level: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[tu
     end); the step skips those two.  Every sum indecomposable permutation
     of length n >= 2 has a sum indecomposable child (its inversion graph is
     connected, so some vertex can go without disconnecting it).  So when
-    ``level`` holds every sum indecomposable tuple of its length, the keys
-    are every such tuple one longer and each value is its set K of sum
-    indecomposable children.
+    ``level`` holds every sum indecomposable string of its length, the
+    candidates are every such string one longer, and each count and digest
+    is that of its set K of sum indecomposable children.
 
-    Each value lists its children in the iteration order of ``level``, so
-    within one call equal child sets give equal tuples.
+    Deleting any entry of a run of adjacent positions that hold consecutive
+    values leaves the same child.  So the step makes each (candidate, child)
+    pair once: it skips an insertion of val whose left neighbour in the
+    candidate is val - 1 or val + 1, as the pair comes again from the
+    insertion of the run's leftmost entry.
 
-    >>> sorted(next_si_level({(1,)}).items())
-    [((2, 1), ((1,),))]
+    Only one block of candidates, those with one first entry r, is held at
+    a time.  A candidate starts with r when r is inserted at the front, or
+    when an entry goes after the first entry f of a member, with f = r if
+    the entry is larger and f = r - 1 if not.
+
+    >>> [(tuple(c), count) for c, count, _ in next_si_level({bytes((1,))})]
+    [((2, 1), 1)]
+    >>> sorted(tuple(c) for c, _, _ in next_si_level({bytes((2, 1))}))
+    [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    found = {}
-    get = found.get
+    top = len(next(iter(level), b"")) + 1
+    one = [bytes((v,)) for v in range(top + 1)]  # ValueError past 255
+    members = []
+    by_first: list[list[tuple[bytes, int]]] = [[] for _ in range(top + 1)]
     for p in level:
-        top = len(p) + 1
-        for val in range(1, top + 1):
-            shifted = tuple(x + 1 if x >= val else x for x in p)
-            # skip 1 + p (val 1 at pos 0) and p + 1 (val top at pos top - 1)
-            for pos in range(val == 1, top - (val == top)):
-                c = shifted[:pos] + (val,) + shifted[pos:]
-                kids = get(c)
-                if kids is None:
-                    found[c] = [p]
-                elif kids[-1] is not p:  # else a repeat of c from this p
-                    kids.append(p)
-    # in place, so that each list is freed as its tuple is made
-    for c, kids in found.items():
-        found[c] = tuple(kids)
-    return found
+        # a low byte counts the children, the bits above it sum their ids
+        member = (p, member_id(p) << 8 | 1)
+        members.append(member)
+        by_first[p[0]].append(member)
+    # a string of length >= 2 starting with 1 is a sum: no block 1
+    for r in range(2, top + 1):
+        found: dict[bytes, int] = {}
+        get = found.get
+        front, up = one[r], _UP[r]
+        for p, w in members:
+            c = front + p.translate(up)
+            found[c] = get(c, 0) + w
+        for first, vals in ((by_first[r], range(r + 1, top + 1)), (by_first[r - 1], range(1, r))):
+            for p, w in first:
+                for val in vals:
+                    s = p.translate(_UP[val])
+                    b = one[val]
+                    # the positions right after val - 1 and val of p (0: absent)
+                    left = (p.find(val - 1) + 1, p.find(val) + 1)
+                    # the new maximum at the end is p + 1
+                    for pos in range(1, top - (val == top)):
+                        if pos not in left:
+                            c = s[:pos] + b + s[pos:]
+                            found[c] = get(c, 0) + w
+        for c, v in found.items():
+            yield c, v & 0xFF, v >> 8 & _MASK64
 
 
 def contains(pattern: Permutation, text: Permutation) -> bool:

@@ -331,8 +331,9 @@ def _selection_oracle(
     chains: list[Callable[[int], Permutation]],
     chain_min: int,
 ) -> Callable[[Permutation], bool]:
-    """Membership of a sum indecomposable permutation (or the empty one) in
-    the sum closure of the selected levels and the active chains."""
+    """Membership of a permutation in the sum closure of the selected levels
+    and the active chains: each of its sum components is an SI pattern of
+    one of them."""
     flat = [q for level in levels.values() for q in level]
 
     @lru_cache(maxsize=None)
@@ -352,7 +353,15 @@ def _selection_oracle(
         return frozenset(found)
 
     def oracle(p: Permutation) -> bool:
-        return len(p) == 0 or p in members(len(p))
+        t = p.entries
+        start = hi = 0
+        for k, x in enumerate(t, 1):
+            hi = max(hi, x)
+            if hi == k:  # t[start:k] is a sum component
+                if Permutation._trusted(tuple(v - start for v in t[start:k])) not in members(k - start):
+                    return False
+                start = k
+        return True
 
     return oracle
 

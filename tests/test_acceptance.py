@@ -136,8 +136,10 @@ def test_split_end_sum_closure_basis():
     def in_closure(q):
         return any(contains(q, w) for w in antichain)
 
-    # compute_basis asks only about the empty permutation and sum
-    # indecomposable ones, so the sum closure need not be taken here
+    # compute_basis asks only about the empty permutation, sum
+    # indecomposable ones and the sums of two of length <= 3, which the
+    # closure of the antichain already holds, so the sum closure need not
+    # be taken here
     def oracle(p):
         return len(p) == 0 or in_closure(p)
 

@@ -107,6 +107,20 @@ def test_compute_basis_catches_an_oracle_that_is_not_downward_closed():
         compute_basis(lambda p: len(p) != 3, 6)
 
 
+def test_compute_basis_catches_an_oracle_that_is_not_sum_closed():
+    # Av(321, 2143) holds 21 but not 21 + 21; its SI members alone would
+    # give the basis of another class
+    spec = spec_from_strs("3 2 1", "2 1 4 3")
+    with pytest.raises(ValueError, match="not sum closed: it rejects 2 1 4 3"):
+        compute_basis(lambda p: member(spec, p), 6)
+
+
+def test_compute_basis_walks_to_length_17():
+    # a long walk: one SI member a length, with entries up to 17
+    spec = spec_from_strs("2 3 1", "3 1 2")
+    assert compute_basis(lambda p: member(spec, p), 17) == set(spec.basis)
+
+
 def test_extended_specs():
     base = spec_from_strs("3 2 1")
     bigger = base.extended([parse_permutation("3 4 1 2")])

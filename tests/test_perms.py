@@ -11,6 +11,7 @@ from permgrowth.perms import (
     inflate,
     inversion_graph,
     is_sum_indecomposable,
+    member_id,
     next_si_level,
     parse_permutation,
     skew_sum,
@@ -67,21 +68,32 @@ def test_sum_indecomposable_matches_inversion_graph_connectivity():
 
 
 def _si_level(n):
-    return {p.entries for p in all_permutations(n) if is_sum_indecomposable(p)}
+    return {bytes(p.entries) for p in all_permutations(n) if is_sum_indecomposable(p)}
 
 
 def _k(t):
-    return {c.entries for c in children(Permutation(t))}
+    # the K-set on the deletion side, independent of the step
+    return {bytes(c.entries) for c in children(Permutation(t))}
+
+
+def _checked_step(level):
+    """The step's candidates, each checked against its children in
+    ``level``: the count, and the sum mod 2^64 of their ids."""
+    step = {}
+    for c, count, digest in next_si_level(level):
+        assert c not in step
+        kids = _k(c) & level
+        assert count == len(kids)
+        assert digest == sum(map(member_id, kids)) % 2**64
+        step[c] = (count, digest)
+    return step
 
 
 def test_next_si_level_gives_every_si_permutation_with_its_k_set():
     counts = []
     for n in range(2, 8):
-        step = next_si_level(_si_level(n - 1))
+        step = _checked_step(_si_level(n - 1))
         assert set(step) == _si_level(n)
-        for c, kids in step.items():
-            assert set(kids) == _k(c)
-            assert len(kids) == len(set(kids))
         counts.append(len(step))
     assert counts == [1, 3, 13, 71, 461, 3447]
 
@@ -90,11 +102,8 @@ def test_next_si_level_on_a_restricted_level():
     # the members of K^(2): at most two sum indecomposable children
     for n in range(3, 8):
         level = {t for t in _si_level(n - 1) if len(_k(t)) <= 2}
-        step = next_si_level(level)
+        step = _checked_step(level)
         assert set(step) == {c for c in _si_level(n) if _k(c) & level}
-        for c, kids in step.items():
-            assert set(kids) == _k(c) & level
-            assert len(kids) == len(set(kids))
 
 
 def test_direct_sum_and_components_round_trip():

@@ -32,6 +32,7 @@ from permgrowth.perms import (
     direct_sum,
     inversion_graph,
     is_sum_indecomposable,
+    member_id,
     next_level,
     next_si_level,
     standardize,
@@ -202,19 +203,24 @@ def test_next_level_matches_brute_force(level):
 @given(_sublevels(si=True))
 @settings(max_examples=60, deadline=None)
 def test_next_si_level_groups_by_child_set(level):
-    step = next_si_level(level)
+    level = set(map(bytes, level))
     n = len(next(iter(level), ()))
     child_sets = {}
     for c in all_tuples(range(1, n + 2)):
-        kids = frozenset(_drop(c, i) for i in range(n + 1)) & level
+        kids = frozenset(bytes(_drop(c, i)) for i in range(n + 1)) & level
         if _si(c) and kids:
-            child_sets[c] = kids
+            child_sets[bytes(c)] = kids
+    step = {}
+    for c, count, digest in next_si_level(level):
+        assert c not in step
+        step[c] = (count, digest)
     assert set(step) == set(child_sets)
-    for c, kids in step.items():
-        assert set(kids) == child_sets[c] and len(kids) == len(set(kids))
-    # equal value tuples exactly when the child sets are equal
-    pairs = {(kids, child_sets[c]) for c, kids in step.items()}
-    assert len(pairs) == len({kids for kids, _ in pairs}) == len({ks for _, ks in pairs})
+    for c, (count, digest) in step.items():
+        assert count == len(child_sets[c])
+        assert digest == sum(map(member_id, child_sets[c])) % 2**64
+    # equal values exactly when the child sets are equal
+    pairs = {(value, child_sets[c]) for c, value in step.items()}
+    assert len(pairs) == len({value for value, _ in pairs}) == len({ks for _, ks in pairs})
 
 
 # a random sum closed class: its basis is 1 to 4 sum indecomposable

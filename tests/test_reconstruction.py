@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from permgrowth import perms, reconstruction
 from permgrowth.perms import (
     all_permutations,
     children,
@@ -33,6 +34,30 @@ def test_verify_reconstruction_counts():
     report = verify_reconstruction(5)
     assert report.passed
     assert report.checked == 71
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_verify_reconstruction_confirms_every_digest_collision(n, monkeypatch):
+    # with one id for every member all candidates share a digest, and the
+    # deletion side alone must give the same verdict
+    expected = verify_reconstruction(n)
+    monkeypatch.setattr(perms, "member_id", lambda t: 0)
+    assert verify_reconstruction(n) == expected
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_verify_reconstruction_finds_the_oscillation_pair(n, monkeypatch):
+    # the one collision the theorem allows, once it is not excused
+    monkeypatch.setattr(reconstruction, "is_increasing_oscillation", lambda p: False)
+    pair = tuple(sorted((increasing_oscillation(n, True), increasing_oscillation(n, False))))
+    assert verify_reconstruction(n).failures == (pair,)
+
+
+@pytest.mark.slow
+def test_verify_reconstruction_length_9():
+    report = verify_reconstruction(9)
+    assert report.passed
+    assert report.checked == 273343
 
 
 def test_k_bounded_members_match_brute_force():
