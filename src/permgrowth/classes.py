@@ -16,7 +16,6 @@ from .perms import (
     Permutation,
     contains,
     direct_sum,
-    is_si_entries,
     is_sum_indecomposable,
     next_level,
     next_si_level,
@@ -38,7 +37,9 @@ class ClassSpec:
     __slots__ = ("basis",)
 
     def __init__(self, basis: Iterable[Permutation]):
-        given = set(basis)
+        # sorted, so the containment tests run in one order whatever the
+        # hash seed of the process
+        given = sorted(set(basis))
         minimal = [
             p
             for p in given
@@ -84,24 +85,24 @@ def member(spec: ClassSpec, p: Permutation) -> bool:
     return all(not contains(b, p) for b in spec.basis)
 
 
-def orbit_key(spec: ClassSpec) -> tuple[tuple[int, ...], ...]:
-    """The least sorted entry-tuple basis among B, B⁻¹, rc(B) and rc(B⁻¹),
+def orbit_key(spec: ClassSpec) -> tuple[Permutation, ...]:
+    """The least sorted basis among B, B⁻¹, rc(B) and rc(B⁻¹),
     where B is the basis of ``spec`` and rc is reverse-complement.  The four
     classes share their counts and their sum indecomposable counts, since
     (a⊕b)⁻¹ = a⁻¹⊕b⁻¹ and rc(a⊕b) = rc(b)⊕rc(a).
 
     >>> orbit_key(spec_from_strs("2 3 1"))
-    ((2, 3, 1),)
+    (Permutation('2 3 1'),)
     >>> orbit_key(spec_from_strs("3 1 2")) == orbit_key(spec_from_strs("2 3 1"))
     True
     >>> orbit_key(spec_from_strs("1 3 2"))
-    ((1, 3, 2),)
+    (Permutation('1 3 2'),)
     """
-    def rc(t: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(len(t) + 1 - v for v in reversed(t))
+    def rc(p: Permutation) -> Permutation:
+        return Permutation._trusted(len(p) + 1 - v for v in reversed(p))
 
-    basis = [b.entries for b in spec.basis]
-    inverses = [b.inverse().entries for b in spec.basis]
+    basis = spec.basis
+    inverses = [b.inverse() for b in basis]
     return min(tuple(sorted(image)) for image in (basis, inverses, map(rc, basis), map(rc, inverses)))
 
 
@@ -113,7 +114,7 @@ class Census:
 
     def __init__(self, member_counts: Optional[list[int]] = None,
                  si_counts: Optional[list[int]] = None,
-                 levels: Optional[list[set[tuple[int, ...]]]] = None):
+                 levels: Optional[list[set[bytes]]] = None):
         self.member_counts = [] if member_counts is None else member_counts  # index = length
         self.si_counts = [] if si_counts is None else si_counts
         self.levels = [] if levels is None else levels
@@ -123,8 +124,7 @@ class Census:
         return self.si_counts[1:]
 
     def si_members(self, n: int) -> list[Permutation]:
-        members = map(Permutation._trusted, self.levels[n])
-        return sorted(p for p in members if is_sum_indecomposable(p))
+        return sorted(Permutation._trusted(t) for t in self.levels[n] if is_sum_indecomposable(t))
 
     def to_csv(self) -> str:
         lines = ["length,members,sum_indecomposable"]
@@ -140,11 +140,11 @@ def census(spec: ClassSpec, max_len: int) -> Census:
     Raises ValueError on a level of more than ``MEMBER_BOUND`` members."""
     if max_len > CENSUS_BOUND:
         raise ValueError("census bound exceeded (max %d)" % CENSUS_BOUND)
-    basis_by_len: dict[int, set[tuple[int, ...]]] = {}
+    basis_by_len: dict[int, set[Permutation]] = {}
     for b in spec.basis:
-        basis_by_len.setdefault(len(b), set()).add(b.entries)
+        basis_by_len.setdefault(len(b), set()).add(b)
     out = Census()
-    level = {()} if EMPTY not in spec.basis else set()
+    level = {b""} if EMPTY not in spec.basis else set()
     out.levels.append(level)
     out.member_counts.append(len(level))
     out.si_counts.append(0)
@@ -155,7 +155,7 @@ def census(spec: ClassSpec, max_len: int) -> Census:
             raise ValueError("census level %d exceeds %d members" % (n, MEMBER_BOUND))
         out.levels.append(level)
         out.member_counts.append(len(level))
-        out.si_counts.append(sum(1 for t in level if is_si_entries(t)))
+        out.si_counts.append(sum(1 for t in level if is_sum_indecomposable(t)))
     return out
 
 
@@ -195,23 +195,23 @@ def compute_basis(
         for c, _, _ in next_si_level(level):
             if not si_children_within(c, level):
                 continue
-            if oracle(Permutation._trusted(tuple(c))):
+            if oracle(Permutation._trusted(c)):
                 nxt.add(c)
             else:
                 basis.add(c)
         level = nxt
         if n <= 3:
-            short += (Permutation._trusted(tuple(c)) for c in sorted(nxt))
+            short += sorted(nxt)
     for b in sorted(b for b in basis if len(b) < max_len):
         for c in sorted(c for c, _, _ in next_si_level({b})):
-            p = Permutation._trusted(tuple(c))
+            p = Permutation._trusted(c)
             if oracle(p):
                 raise ValueError("oracle violates downward closure at %s" % p)
     for a in short:
         for b in short:
             if not oracle(direct_sum(a, b)):
                 raise ValueError("oracle is not sum closed: it rejects %s" % direct_sum(a, b))
-    return {Permutation._trusted(tuple(b)) for b in basis}
+    return {Permutation._trusted(b) for b in basis}
 
 
 # the directions of the bottom and the top half of each kind of vertical
@@ -239,7 +239,7 @@ def embeds_in_alternation(b: Permutation, kind: str) -> bool:
     n = len(b)
     # pos[v - 1] is the position of v; values 1..lo lie monotone bottom,
     # and values hi+1..n monotone top, in position order
-    pos = sorted(range(n), key=b.entries.__getitem__)
+    pos = sorted(range(n), key=b.__getitem__)
     lo = min(n, 1)
     while lo < n and (pos[lo] - pos[lo - 1]) * bottom > 0:
         lo += 1

@@ -74,7 +74,7 @@ def encode(p: Permutation) -> list[IELetter]:
     undecided = [True] * n
     letters = []
     for v in range(1, n + 1):
-        i = p.entries.index(v)
+        i = p.index(v)
         # slot index: count maximal undecided runs strictly left of i's run
         slot = 1
         in_run = False
@@ -138,9 +138,8 @@ def decode(letters: Iterable[IELetter]) -> Permutation:
 def _next_entry_tables(basis: Permutation) -> tuple[int, ...]:
     """For each remaining-count k, the rank (in position order) of the next
     entry to match, which is always the least-valued remaining one."""
-    entries = basis.entries
-    L = len(entries)
-    pos_of_value = {v: i for i, v in enumerate(entries)}
+    L = len(basis)
+    pos_of_value = {v: i for i, v in enumerate(basis)}
     table = [0] * (L + 1)
     for k in range(1, L + 1):
         m = L - k  # values 1..m already matched

@@ -7,23 +7,25 @@ immutable, so everything here is safe to use from concurrent callers.
 Text format: space-separated values, e.g. ``"2 4 1 3"``; the empty string
 denotes the empty permutation.
 
-The enumeration loops of the package run on plain entries rather than on
-:class:`Permutation` objects; the entry helpers (``is_si_entries``,
-``delete_entry``, ``si_children_within``, ``next_level`` and
-``next_si_level``) are the single implementation behind both.
+One representation serves every walk: the entry string, ``bytes`` with one
+byte per entry, so lengths are below 256.  A :class:`Permutation` is an
+entry string whose entries were checked to form a rearrangement of 1..n.
+It equals, and hashes like, the plain entry string with the same entries,
+so sets may mix the two; only its order (length first, then entries), its
+text form and its methods differ.  The level steps and the census hold
+plain entry strings, and wrap one as a Permutation only where it reaches a
+caller that prints or sorts it.
 
 The two level steps grow a set of members by one length.  ``next_level``
-(the census of any class, on entry tuples) works by active sites: one
-bitmask AND over a member's deletions says at which positions a new
-maximum gives a candidate whose children all lie in the level.
-``next_si_level`` (every walk over the sum indecomposable members of a sum
-closed set: basis search, reconstruction, K^(m)) works on entry strings,
-``bytes`` with one byte per entry.  It inserts an entry into each member in
-every way but the two that make a sum, and gives each new string once with
-the count of its children in the level and an order-free digest of them;
-reconstruction groups by the digest, K^(m) filters on the count, and the
-basis search and K^(m) keep the candidates that pass
-``si_children_within``.
+(the census of any class) works by active sites: one bitmask AND over a
+member's deletions says at which positions a new maximum gives a candidate
+whose children all lie in the level.  ``next_si_level`` (every walk over the
+sum indecomposable members of a sum closed set: basis search,
+reconstruction, K^(m)) inserts an entry into each member in every way but
+the two that make a sum, and gives each new string once with the count of
+its children in the level and an order-free digest of them; reconstruction
+groups by the digest, K^(m) filters on the count, and the basis search and
+K^(m) keep the candidates that pass ``si_children_within``.
 """
 
 from __future__ import annotations
@@ -32,79 +34,72 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
-class Permutation:
-    """An arrangement of the values 1..n, each exactly once (n >= 0).
+class Permutation(bytes):
+    """An arrangement of the values 1..n, each exactly once (0 <= n < 256),
+    stored as its entry string.
 
     >>> Permutation((2, 4, 1, 3))
     Permutation('2 4 1 3')
     >>> len(Permutation(()))
     0
+    >>> Permutation((2, 1)) == bytes((2, 1))
+    True
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(x) for x in entries)
-        n = len(entries)
-        if n > 0:
-            mask = 0
-            for x in entries:
-                if x < 1 or x > n:
-                    raise ValueError("entries must form a rearrangement of 1..n")
-                mask |= 1 << x
-            if mask != (2 ** (n + 1) - 2):
-                raise ValueError("entries must form a rearrangement of 1..n")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash(entries))
+    def __new__(cls, entries: Iterable[int] = ()) -> "Permutation":
+        try:
+            return bytes.__new__(cls, entries)
+        except ValueError:
+            raise ValueError("entries must lie in 1..255: a permutation has at most 255 entries") from None
+
+    def __init__(self, entries: Iterable[int] = ()):
+        n = len(self)
+        if n and (min(self) < 1 or max(self) > n or len(set(self)) < n):
+            raise ValueError("entries must form a rearrangement of 1..n")
 
     @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
-        """Wrap a tuple already known to be a rearrangement of 1..n, without
-        validating it; only for entries built from valid permutations."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "entries", entries)
-        object.__setattr__(p, "_hash", hash(entries))
-        return p
+    def _trusted(cls, entries: Iterable[int]) -> "Permutation":
+        """Wrap entries already known to form a rearrangement of 1..n,
+        without validating them; only for entries built from valid ones."""
+        return bytes.__new__(cls, entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.entries == other.entries
-
+    # length-then-lexicographic, for deterministic listings; bytes compares
+    # bytewise, so all four are replaced to keep a > b the same as b < a
     def __lt__(self, other) -> bool:
-        # length-then-lexicographic; used only for deterministic ordering
-        return (len(self.entries), self.entries) < (len(other.entries), other.entries)
+        m, n = len(self), len(other)
+        return m < n or m == n and bytes.__lt__(self, other)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __le__(self, other) -> bool:
+        m, n = len(self), len(other)
+        return m < n or m == n and bytes.__le__(self, other)
+
+    def __gt__(self, other) -> bool:
+        m, n = len(self), len(other)
+        return m > n or m == n and bytes.__gt__(self, other)
+
+    def __ge__(self, other) -> bool:
+        m, n = len(self), len(other)
+        return m > n or m == n and bytes.__ge__(self, other)
 
     def __repr__(self) -> str:
         return "Permutation(%r)" % (str(self),)
 
     def __str__(self) -> str:
-        return " ".join(str(x) for x in self.entries)
+        return " ".join(map(str, self))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.entries)
-        for i, v in enumerate(self.entries):
+        inv = [0] * len(self)
+        for i, v in enumerate(self):
             inv[v - 1] = i + 1
         return Permutation(inv)
 
     def delete(self, index: int) -> "Permutation":
         """Pattern left after removing the entry at 0-based ``index``."""
-        if not 0 <= index < len(self.entries):
+        if not 0 <= index < len(self):
             raise IndexError("index must be in 0..n-1")
-        return Permutation._trusted(delete_entry(self.entries, index))
+        return Permutation._trusted(_delete(self, index))
 
 
 EMPTY = Permutation(())
@@ -112,10 +107,8 @@ EMPTY = Permutation(())
 
 def parse_permutation(text: str) -> Permutation:
     """Parse the space-separated text format; '' is the empty permutation."""
-    text = text.strip()
-    if not text:
-        return EMPTY
-    return Permutation(int(tok) for tok in text.split())
+    entries = [int(tok) for tok in text.split()]
+    return Permutation(entries) if entries else EMPTY
 
 
 def standardize(values: Sequence[int]) -> Permutation:
@@ -129,23 +122,17 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation._trusted(p)
 
 
-def is_si_entries(t: Sequence[int]) -> bool:
-    """Sum indecomposability of an entry tuple or string: no proper prefix
-    of length k uses exactly the values 1..k.  The empty one is not sum
-    indecomposable."""
+def is_sum_indecomposable(p: Sequence[int]) -> bool:
+    """True iff ``p``, a permutation or entry string, is not a direct sum of
+    two nonempty permutations: no proper prefix of length k uses exactly
+    the values 1..k.  The empty permutation is not sum indecomposable."""
     hi = 0
-    for k in range(len(t) - 1):
-        if t[k] > hi:
-            hi = t[k]
+    for k in range(len(p) - 1):
+        if p[k] > hi:
+            hi = p[k]
         if hi == k + 1:
             return False
-    return bool(t)
-
-
-def delete_entry(t: tuple[int, ...], index: int) -> tuple[int, ...]:
-    """The entry tuple left after removing position ``index`` of ``t``."""
-    v = t[index]
-    return tuple(x - 1 if x > v else x for x in t[:index] + t[index + 1:])
+    return bool(p)
 
 
 # translation tables of the entry strings: _UP[v] raises the entries >= v
@@ -154,6 +141,11 @@ _BYTES = bytes(range(256))
 _UP = [_BYTES[:v] + _BYTES[v + 1:] + b"\0" for v in range(256)]
 _DOWN = [_BYTES[:v + 1] + _BYTES[v:255] for v in range(256)]
 _MASK64 = (1 << 64) - 1
+
+
+def _delete(t: bytes, index: int) -> bytes:
+    """The entry string left after removing position ``index`` of ``t``."""
+    return (t[:index] + t[index + 1:]).translate(_DOWN[t[index]])
 
 
 def si_children_within(t: bytes, level: set[bytes]) -> bool:
@@ -168,7 +160,7 @@ def si_children_within(t: bytes, level: set[bytes]) -> bool:
     """
     for i, v in enumerate(t):
         c = (t[:i] + t[i + 1:]).translate(_DOWN[v])
-        if c not in level and is_si_entries(c):
+        if c not in level and is_sum_indecomposable(c):
             return False
     return True
 
@@ -187,10 +179,11 @@ def member_id(t: bytes) -> int:
     return z ^ z >> 31
 
 
-def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Every entry tuple one longer than the members of ``level`` whose
+def next_level(level: set[bytes]) -> Iterator[bytes]:
+    """Every entry string one longer than the members of ``level`` whose
     children all lie in ``level``, each exactly once.  ``level`` must hold
-    tuples of a single length; it need not be closed under deletion.
+    strings of a single length below 255; it need not be closed under
+    deletion.
 
     This is the generating tree of permutations: each candidate arises from
     exactly one member p, the one left by removing its maximum, by inserting
@@ -202,26 +195,27 @@ def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     pos - 1 (if j < pos) or at pos (otherwise), so that child is a member
     iff ``sites`` of the j-th deletion of p has that bit.  One AND over the
     m deletions of a member of length m decides all m + 1 positions, and a
-    tuple is built only for a candidate that is yielded.
+    string is built only for a candidate that is yielded.
 
-    >>> sorted(next_level({(1, 2), (2, 1)}))
+    >>> sorted(map(tuple, next_level({bytes((1, 2)), bytes((2, 1))})))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    >>> sorted(next_level({(1, 2)}))
+    >>> list(map(tuple, next_level({bytes((1, 2))})))
     [(1, 2, 3)]
     """
-    sites: dict[tuple[int, ...], int] = {}
+    sites: dict[bytes, int] = {}
     for p in level:
         if p:
             i = p.index(len(p))
             q = p[:i] + p[i + 1:]
             sites[q] = sites.get(q, 0) | 1 << i
     get = sites.get
+    top = len(next(iter(level), b"")) + 1
+    new = bytes((top,))
     for p in level:
-        top = len(p) + 1
         good = (1 << top) - 1  # bit pos: the new maximum may go at pos
         for j, v in enumerate(p):
-            # delete_entry inlined for speed
-            mask = get(tuple(x - 1 if x > v else x for x in p[:j] + p[j + 1:]), 0)
+            # _delete inlined for speed
+            mask = get((p[:j] + p[j + 1:]).translate(_DOWN[v]), 0)
             low = (2 << j) - 1  # positions pos <= j
             # pos <= j needs bit pos of mask, pos > j needs bit pos - 1
             good &= (mask & low) | (mask << 1 & ~low)
@@ -230,7 +224,7 @@ def next_level(level: set[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         pos = 0
         while good:
             if good & 1:
-                yield p[:pos] + (top,) + p[pos:]
+                yield p[:pos] + new + p[pos:]
             good >>= 1
             pos += 1
 
@@ -307,15 +301,14 @@ def next_si_level(level: set[bytes]) -> Iterator[tuple[bytes, int, int]]:
 def contains(pattern: Permutation, text: Permutation) -> bool:
     """True iff some subsequence of ``text`` is order isomorphic to ``pattern``.
 
-    A backtracking embedding search on the entry tuples.
+    A backtracking embedding search on the entry strings.
 
     >>> contains(parse_permutation("2 1 3"), parse_permutation("2 3 1 4"))
     True
     >>> contains(parse_permutation("3 2 1"), parse_permutation("2 3 4 1"))
     False
     """
-    pat = pattern.entries
-    seq = text.entries
+    pat, seq = pattern, text
     k = len(pat)
     n = len(seq)
     if k == 0:
@@ -350,22 +343,14 @@ def contains(pattern: Permutation, text: Permutation) -> bool:
             pos = choice[i] + 1
 
 
-def is_sum_indecomposable(p: Permutation) -> bool:
-    """True iff ``p`` is not a direct sum of two nonempty permutations.
-
-    The empty permutation is not sum indecomposable.
-    """
-    return is_si_entries(p.entries)
-
-
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:
     n = len(p)
-    return Permutation(p.entries + tuple(x + n for x in q.entries))
+    return Permutation([*p, *(x + n for x in q)])
 
 
 def skew_sum(p: Permutation, q: Permutation) -> Permutation:
     m = len(q)
-    return Permutation(tuple(x + m for x in p.entries) + q.entries)
+    return Permutation([*(x + m for x in p), *q])
 
 
 def children(p: Permutation) -> frozenset[Permutation]:
@@ -373,9 +358,8 @@ def children(p: Permutation) -> frozenset[Permutation]:
     single-entry deletion patterns that are sum indecomposable."""
     if len(p) == 0:
         raise ValueError("the empty permutation has no children")
-    t = p.entries
-    kids = {delete_entry(t, i) for i in range(len(t))}
-    return frozenset(map(Permutation._trusted, filter(is_si_entries, kids)))
+    kids = {_delete(p, i) for i in range(len(p))}
+    return frozenset(map(Permutation._trusted, filter(is_sum_indecomposable, kids)))
 
 
 class InversionGraph(NamedTuple):
@@ -424,8 +408,8 @@ def inversion_graph(p: Permutation) -> InversionGraph:
     edges = set()
     for i in range(len(p)):
         for j in range(i + 1, len(p)):
-            if p.entries[i] > p.entries[j]:
-                edges.add((p.entries[j], p.entries[i]))
+            if p[i] > p[j]:
+                edges.add((p[j], p[i]))
     return InversionGraph(len(p), frozenset(edges))
 
 
@@ -442,7 +426,7 @@ def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:
     if any(len(q) == 0 for q in parts):
         raise ValueError("parts must be nonempty")
     # value offset of each block: total size of blocks with smaller skeleton value
-    order = sorted(range(len(skeleton)), key=lambda i: skeleton.entries[i])
+    order = sorted(range(len(skeleton)), key=skeleton.__getitem__)
     offset = [0] * len(skeleton)
     acc = 0
     for i in order:
@@ -450,7 +434,7 @@ def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:
         acc += len(parts[i])
     out = []
     for i in range(len(skeleton)):
-        out.extend(x + offset[i] for x in parts[i].entries)
+        out.extend(x + offset[i] for x in parts[i])
     return Permutation(out)
 
 
@@ -508,7 +492,7 @@ def split_end_member(n: int, variant: str) -> Permutation:
         raise ValueError("Ue members require even length >= 6")
     core = increasing_oscillation(n - 2, primary=True)
     g = inversion_graph(core)
-    leaf_positions = sorted(core.entries.index(v) for v in g.leaves())
+    leaf_positions = sorted(core.index(v) for v in g.leaves())
     if len(leaf_positions) != 2:
         raise AssertionError("oscillation inversion graph must have two leaves")
     rise = Permutation((1, 2))
@@ -534,7 +518,7 @@ def tail_member(n: int) -> Permutation:
     if n < 2:
         raise ValueError("length must be at least 2")
     core = increasing_oscillation(n - 1, primary=n % 2 == 0)
-    return inflate_one(core, core.entries.index(n - 1), Permutation((1, 2)))
+    return inflate_one(core, core.index(n - 1), Permutation((1, 2)))
 
 
 ALTERNATION_KINDS = ("wedge1", "wedge2", "parallel1", "parallel2")

@@ -72,9 +72,9 @@ def verify_reconstruction(n: int) -> Report:
         shared = {d for d in digests if d in seen or seen.add(d)}
         for i, d in enumerate(digests):
             if d in shared:
-                p = Permutation._trusted(tuple(strings[i * n:i * n + n]))
+                p = Permutation._trusted(strings[i * n:i * n + n])
                 kset = children(p)
-                if sum(perms.member_id(bytes(c.entries)) for c in kset) % 2**64 != d:
+                if sum(map(perms.member_id, kset)) % 2**64 != d:
                     raise AssertionError("K-set of %r differs between insertion and deletion" % str(p))
                 by_kset.setdefault(kset, []).append(p)
     failures = [
@@ -104,7 +104,7 @@ def k_bounded_members(n: int, m: int) -> list[Permutation]:
             for c, count, _ in next_si_level(level)
             if count <= m and si_children_within(c, level)
         }
-    return sorted(Permutation._trusted(tuple(t)) for t in level)
+    return sorted(map(Permutation._trusted, level))
 
 
 def verify_taper(n: int, m: int) -> Report:

@@ -353,12 +353,11 @@ def _selection_oracle(
         return frozenset(found)
 
     def oracle(p: Permutation) -> bool:
-        t = p.entries
         start = hi = 0
-        for k, x in enumerate(t, 1):
+        for k, x in enumerate(p, 1):
             hi = max(hi, x)
-            if hi == k:  # t[start:k] is a sum component
-                if Permutation._trusted(tuple(v - start for v in t[start:k])) not in members(k - start):
+            if hi == k:  # p[start:k] is a sum component
+                if bytes(v - start for v in p[start:k]) not in members(k - start):
                     return False
                 start = k
         return True

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # regular, but its insertion encoding needs more slots than the limit
     alternations = tmp_path / "alternations.txt"
     alternations.write_text("".join("%s\n" % vertical_alternation(18, k) for k in ALTERNATION_KINDS))
+    # longer than the 255 entries an entry string holds
+    long = tmp_path / "long.txt"
+    long.write_text(" ".join(map(str, range(1, 301))) + "\n")
     cases = [
         ["census"],
         ["classify"],
@@ -87,6 +91,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["taper-verify", "--max-len", "7"],
         ["recon-verify", "--max-len", "11"],  # above RECON_BOUND
         ["census", "--basis", "/nonexistent/file"],
+        ["census", "--basis", str(long), "--max-len", "5"],
         # an --out path that cannot be written
         ["accumulation", "--out", str(tmp_path / "missing" / "x.json")],
         ["accumulation", "--out", str(tmp_path)],
@@ -120,6 +125,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "error: census level 9 exceeds 250000 members\n" in errors
     assert "error: a sequence has at most 64 counts\n" in errors
     assert "8-slot limit" in err
+    too_long = [e for e in errors if "at most 255 entries" in e]
+    assert len(too_long) == 1 and "bytes" not in too_long[0]
     # no campaign takes an isolation width: every digit is exactly rounded
     with pytest.raises(SystemExit) as exc:
         main(["accumulation", "--eps", "1/3"])
@@ -163,6 +170,24 @@ def test_deterministic_output_files(tmp_path):
     assert main(["accumulation", "--out", str(a)]) == 0
     assert main(["accumulation", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["census", "--basis", "FIBONACCI", "--max-len", "10"], "census-fibonacci-10"),
+    (["search-112344"], "search-112344"),
+])
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, argv, golden):
+    # bytes hash with a per-process seed, so sets of permutations iterate in
+    # a different order in each process; the report must not
+    basis = tmp_path / "fibonacci.txt"
+    basis.write_text("2 3 1\n4 3 1 2\n4 3 2 1\n")
+    argv = [str(basis) if a == "FIBONACCI" else a for a in argv]
+    expected = (Path(__file__).parent / "golden" / ("%s.json" % golden)).read_bytes()
+    src = os.path.dirname(os.path.dirname(permgrowth.__file__))
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-m", "permgrowth.cli"] + argv, env=env, capture_output=True)
+        assert run.returncode == 0 and run.stdout == expected, seed
 
 
 def test_cli_import_loads_neither_numpy_nor_sympy(tmp_path):

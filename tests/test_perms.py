@@ -41,6 +41,21 @@ def test_standardize():
     assert standardize([]) == Permutation(())
 
 
+def test_order_is_length_then_lex_for_all_four_operators():
+    # bytes compares bytewise; every operator must agree with the one order
+    perms = [p for n in range(5) for p in all_permutations(n)]
+    for a in perms:
+        for b in perms:
+            ka, kb = (len(a), tuple(a)), (len(b), tuple(b))
+            assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb), (a, b)
+
+
+def test_a_permutation_is_its_entry_string():
+    p = P("2 4 1 3")
+    assert p == bytes((2, 4, 1, 3)) and hash(p) == hash(bytes((2, 4, 1, 3)))
+    assert bytes((2, 4, 1, 3)) in {p} and p in {bytes((2, 4, 1, 3))}
+
+
 def test_contains_basics():
     assert contains(P("2 1"), P("3 1 2"))
     assert not contains(P("1 2 3"), P("3 2 1"))
@@ -68,12 +83,12 @@ def test_sum_indecomposable_matches_inversion_graph_connectivity():
 
 
 def _si_level(n):
-    return {bytes(p.entries) for p in all_permutations(n) if is_sum_indecomposable(p)}
+    return {bytes(p) for p in all_permutations(n) if is_sum_indecomposable(p)}
 
 
 def _k(t):
     # the K-set on the deletion side, independent of the step
-    return {bytes(c.entries) for c in children(Permutation(t))}
+    return {bytes(c) for c in children(Permutation(t))}
 
 
 def _checked_step(level):
@@ -110,7 +125,7 @@ def test_direct_sum_and_components_round_trip():
     a, b, c = P("2 3 1"), P("1"), P("2 1")
     s = direct_sum(direct_sum(a, b), c)
     assert s == P("2 3 1 4 6 5")
-    assert [standardize(s.entries[i:j]) for i, j in ((0, 3), (3, 4), (4, 6))] == [a, b, c]
+    assert [standardize(s[i:j]) for i, j in ((0, 3), (3, 4), (4, 6))] == [a, b, c]
     assert not is_sum_indecomposable(s)
     assert is_sum_indecomposable(skew_sum(b, b))
 
@@ -163,8 +178,8 @@ def test_vertical_alternations():
             v = vertical_alternation(n, kind)
             assert len(v) == n
             # odd-position entries separated from even-position entries
-            odd = set(v.entries[0::2])
-            even = set(v.entries[1::2])
+            odd = set(v[0::2])
+            even = set(v[1::2])
             assert max(odd) < min(even) or min(odd) > max(even)
 
 

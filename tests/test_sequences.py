@@ -217,7 +217,7 @@ NARROW_LEVELS = [
     ids=["wide", "narrow"],
 )
 def test_construction_levels_and_templates(construction, levels, template):
-    assert [[p.entries for p in construction.level(n)] for n in range(1, 9)] == levels
+    assert [[tuple(p) for p in construction.level(n)] for n in range(1, 9)] == levels
     assert str(construction.template()) == template
 
 
