@@ -35,18 +35,33 @@ checks the entries it returns.  Verification per instantiated row:
   stated > 0 on [xi, infinity).
 
 Each convergent family is checked exactly by ``algebraics.family_roots``:
-its roots move strictly toward the limit, the last within 1/20 of it.  The
-one float, an entry's ``growth``, orders the rows and fills the CSV column
-but decides no verdict.
+its roots move strictly toward the limit, the last within 1/20 of it.
+
+An entry's ``growth`` fills the CSV column and decides no verdict.  It is
+the greatest float at most the row's growth rate, certified by exact sign
+tests, so equal rates give equal floats.  Rows are sorted by it; rows of
+equal float are ordered by their exact rates, and rows of exactly equal
+rate by the tie rule of ``_tie_key``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, NamedTuple, Optional
 
-from .algebraics import KAPPA_POLY, XI_POLY, compare, family_roots, largest_real_root, xi
+from .algebraics import (
+    KAPPA_POLY,
+    XI_POLY,
+    AlgebraicNumber,
+    _sign_at,
+    compare,
+    family_roots,
+    largest_real_root,
+    xi,
+)
 from .polynomials import ONE, IntPolynomial
 from .sequences import (
     SumSequence,
@@ -85,9 +100,11 @@ class TableEntry(NamedTuple):
     assignment: tuple  # ordered (name, value)
     sequence: SumSequence
     polynomial: IntPolynomial
-    growth: float
+    growth: float  # the greatest float at most the growth rate
     position: str
     row: RowTemplate  # the template it instantiates
+    # the stated polynomial's core equals the one computed from the sequence
+    core_agrees: bool
 
 
 def _parse(family: str) -> tuple[tuple, Optional[int], tuple]:
@@ -336,14 +353,105 @@ def _computed_core(s: SumSequence) -> IntPolynomial:
     return _strip_trivial(den.reciprocal())
 
 
-def _float_largest_root(p: IntPolynomial) -> float:
-    import numpy as np
+NEWTON_STEPS = 60  # float Newton iterations before the exact sign tests
+ULP_STEPS = 4  # neighbouring floats tried after Newton, before bisection
 
-    roots = np.roots(list(reversed(p.coeffs)))
-    reals = [r.real for r in roots if abs(r.imag) < 1e-9]
-    if not reals:
-        raise ValueError("no real root")
-    return float(max(reals))
+
+def _last_float_at_most(at_most: Callable[[float], bool], lo: float, hi: float,
+                        guess: Optional[float] = None) -> float:
+    """The greatest float f in [lo, hi) with ``at_most(f)``, where
+    ``at_most`` holds up to some point and fails above it, holds at ``lo``
+    and fails at ``hi``.  ``guess`` and up to ``ULP_STEPS`` of its
+    neighbours are tried first; bisection on floats finishes the search.
+    Each bisection step halves hi - lo, up to rounding, until the two are
+    adjacent floats, so it ends within about 2100 steps even on the whole
+    float range, and within about 120 on (1, 2**64)."""
+    f = guess
+    for _ in range(ULP_STEPS):
+        if f is None or not lo < f < hi:
+            break
+        if at_most(f):
+            lo, f = f, math.nextafter(f, math.inf)
+        else:
+            hi, f = f, math.nextafter(f, -math.inf)
+    while True:
+        # the rounded midpoint lies strictly between lo and hi unless they
+        # are adjacent floats
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return lo
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _newton(coeffs, x: float) -> Optional[float]:
+    """Float Newton iteration from ``x``: its last iterate, or None if an
+    iterate leaves (1, x)."""
+    top = x
+    for _ in range(NEWTON_STEPS):
+        p = dp = 0.0
+        for c in reversed(coeffs):
+            dp = dp * x + p
+            p = p * x + c
+        if not dp:
+            break
+        step = p / dp
+        if not 1.0 < x - step < top:
+            return None
+        if x - step == x:
+            break
+        x -= step
+    return x
+
+
+def _core_growth_float(core: IntPolynomial) -> float:
+    """The greatest float at most the growth rate r, where ``core`` is a
+    row's core that equals the one computed from its sequence.
+
+    With g the SI generating function, which has nonnegative coefficients,
+    1 - g(1/x) increases strictly on x > 1, and the class g.f.'s
+    denominator is D * (1 - g), where D has its roots on the unit circle.
+    So on (1, inf) the core has exactly one root, r, simple, with the core
+    negative on (1, r) and positive above it.  A float is dyadic, so the
+    sign of the core at it is exact: f <= r iff core(f) <= 0.  Float Newton
+    from a bound above every root guesses f; the exact signs at f and its
+    neighbour certify it, and bisection on (1, bound) takes over if they
+    do not.
+    """
+    cs = core.coeffs
+    # above Cauchy's bound 1 + max |c| / lead (``algebraics.root_bound``)
+    # without its Fractions
+    hi = float(2 + max(map(abs, cs)) // cs[-1])
+
+    def at_most(f: float) -> bool:
+        n, d = f.as_integer_ratio()
+        return _sign_at(cs, n, d) <= 0
+
+    return _last_float_at_most(at_most, 1.0, hi, _newton(cs, hi))
+
+
+def _float_at_most(a: AlgebraicNumber) -> float:
+    """The greatest float at most ``a``, by bisection on floats from its
+    isolating interval (lo, hi]: unless a is hi itself, its defining
+    polynomial takes the sign it has at hi on (a, hi] and the other sign on
+    (lo, a)."""
+    cs, lo, hi = a.poly.coeffs, a.lo, a.hi
+    at_hi = _sign_at(cs, hi.numerator, hi.denominator)
+
+    def at_most(f: float) -> bool:
+        if not lo < f <= hi:
+            return f <= lo
+        n, d = f.as_integer_ratio()
+        return not at_hi or _sign_at(cs, n, d) != at_hi
+
+    lo_f, hi_f = float(lo), float(hi)
+    if lo_f > lo:
+        lo_f = math.nextafter(lo_f, -math.inf)
+    if hi_f <= hi:
+        hi_f = math.nextafter(hi_f, math.inf)
+    return _last_float_at_most(at_most, lo_f, hi_f)
 
 
 def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
@@ -359,8 +467,30 @@ def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
     return compare(largest_real_root(base), xi()) < 0
 
 
-def _by_growth(e: TableEntry) -> tuple:
-    return (e.growth, str(e.sequence), e.polynomial.coeffs)
+def _tie_key(e: TableEntry) -> tuple:
+    """The order of rows of exactly equal growth rate: the stated
+    polynomial of higher degree first, then the sequence text, then the
+    coefficients."""
+    return (-e.polynomial.degree, str(e.sequence), e.polynomial.coeffs)
+
+
+def _exact_order(a: TableEntry, b: TableEntry) -> int:
+    c = compare(largest_real_root(a.polynomial), largest_real_root(b.polynomial))
+    if c:
+        return c
+    ka, kb = _tie_key(a), _tie_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def _sorted_by_growth(entries: list[TableEntry]) -> list[TableEntry]:
+    """Entries by growth rate, exactly.  A float below the rate orders
+    different floats as their rates; only a run of equal floats needs the
+    exact comparison."""
+    entries = sorted(entries, key=lambda e: e.growth)
+    out = []
+    for _, run in itertools.groupby(entries, key=lambda e: e.growth):
+        out.extend(sorted(run, key=cmp_to_key(_exact_order)))
+    return out
 
 
 def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
@@ -376,12 +506,19 @@ def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
             key = (str(seq), stated.coeffs)
             if key not in seen:
                 seen.add(key)
+                core = _strip_trivial(stated)
+                agrees = core == _computed_core(seq)
+                # a row whose core disagrees with its sequence, or whose rate
+                # is not above 1 (a constant core), is isolated exactly
+                if agrees and core.degree >= 1:
+                    growth = _core_growth_float(core)
+                else:
+                    growth = _float_at_most(largest_real_root(stated))
                 entries.append(TableEntry(
                     which, row.family, tuple(sorted(pv.items())), seq, stated,
-                    _float_largest_root(stated), row.position, row,
+                    growth, row.position, row, agrees,
                 ))
-    entries.sort(key=_by_growth)
-    return entries
+    return _sorted_by_growth(entries)
 
 
 def _check_position(e: TableEntry) -> bool:
@@ -415,7 +552,7 @@ def verify_table(which: int, max_index: int = 6) -> dict:
         if not is_legal(e.sequence):
             problems.append("%s: sequence %s is illegal" % (label, e.sequence))
             continue
-        if _strip_trivial(e.polynomial) != _computed_core(e.sequence):
+        if not e.core_agrees:
             # fall back to the exact factor test before declaring failure
             if not _exact_growth_matches(e.sequence, e.polynomial):
                 problems.append(

@@ -191,10 +191,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path, argv, golden):
 
 
 def test_cli_import_loads_neither_numpy_nor_sympy(tmp_path):
-    # numpy is imported lazily, where a table needs it, so that a short call
-    # does not pay for it at start-up; growth rates factor their polynomials
-    # without sympy, so the calls that classify a sequence or a class never
-    # load it
+    # the program imports no numpy, and growth rates factor their
+    # polynomials without sympy, so the calls that classify a sequence or a
+    # class never load it
     witness = realize(SumSequence([1, 1, 2, 4, 3, 3, 2, 1])).spec.sorted_basis()
     basis = tmp_path / "xi_witness.txt"
     basis.write_text("".join("%s\n" % p for p in witness))

@@ -1,11 +1,15 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from permgrowth.algebraics import XI_POLY
+from permgrowth.algebraics import XI_POLY, AlgebraicNumber, compare, largest_real_root
 from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, is_legal
 from permgrowth.tables import (
     MAX_INDEX,
     TABLES,
+    ULP_STEPS,
     _parse,
     _strip_trivial,
     entries_to_csv,
@@ -55,10 +59,125 @@ def test_all_table_sequences_are_legal():
             assert is_legal(e.sequence), (which, e.family)
 
 
+def _rate(e):
+    return largest_real_root(e.polynomial)
+
+
 def test_rows_sorted_by_growth():
+    # exactly, and rows of equal rate by the tie rule: the stated polynomial
+    # of higher degree first, then the sequence text, then the coefficients
     for which in TABLES:
-        growths = [e.growth for e in table_rows(which, max_index=4)]
-        assert growths == sorted(growths)
+        rows = table_rows(which, max_index=4)
+        assert [e.growth for e in rows] == sorted(e.growth for e in rows)
+        for a, b in zip(rows, rows[1:]):
+            c = compare(_rate(a), _rate(b))
+            assert c <= 0, (which, str(a.sequence), str(b.sequence))
+            if c == 0:
+                assert (
+                    (-a.polynomial.degree, str(a.sequence), a.polynomial.coeffs)
+                    < (-b.polynomial.degree, str(b.sequence), b.polynomial.coeffs)
+                ), (which, str(a.sequence), str(b.sequence))
+
+
+@pytest.mark.parametrize(
+    "which,max_index,tied",
+    [
+        # degree 9 before degree 5
+        (4, 3, ["1,1,2,3,4,2,2,1", "1,1,2,(3)"]),
+        # the xi family, all stated as the xi polynomial: sequence text
+        (2, 2, ["1,1,2,3,(4)", "1,1,2,3,4,4,5,3,3,2,1", "1,1,2,3,4,5,3,3,2,1",
+                "1,1,2,3,5,3,3,2,1"]),
+    ],
+)
+def test_exact_ties_follow_the_tie_rule(which, max_index, tied):
+    rows = table_rows(which, max_index)
+    texts = [str(e.sequence) for e in rows]
+    first = texts.index(tied[0])
+    assert texts[first:first + len(tied)] == tied
+    run = rows[first:first + len(tied)]
+    assert all(compare(_rate(run[0]), _rate(e)) == 0 for e in run[1:])
+    assert len({e.growth for e in run}) == 1
+
+
+def _float_by_refinement(a: AlgebraicNumber) -> float:
+    """The greatest float at most ``a``, from its Sturm-isolated interval
+    refined below a quarter ulp of 1: no float spacing at or above 1/2 is
+    that small, so (lo, hi] holds at most one float."""
+    a.refine(Fraction(math.ulp(1.0)) / 4)
+    f = float(a.hi)
+    if f > a.hi:
+        f = math.nextafter(f, -math.inf)
+    if f > a.lo and compare(AlgebraicNumber.from_rational(Fraction(f)), a) > 0:
+        f = math.nextafter(f, -math.inf)
+    return f
+
+
+@pytest.mark.parametrize("which,max_index", [(1, 6), (2, 6), (3, 6), (4, 3)])
+def test_growth_is_the_greatest_float_at_most_the_rate(which, max_index):
+    for e in table_rows(which, max_index):
+        assert e.growth == _float_by_refinement(_rate(e)), (which, str(e.sequence))
+
+
+def test_growth_one_row_has_a_constant_core():
+    (e,) = [e for e in table_rows(3) if str(e.sequence) == "1"]
+    assert e.polynomial == IntPolynomial([1, -2, 1])
+    assert _strip_trivial(e.polynomial) == IntPolynomial([1])
+    assert e.growth == 1.0
+    assert entries_to_csv([e]).endswith(',"1 - 2x + x^2",1.000000,below\n')
+
+
+def test_a_row_whose_core_disagrees_gets_its_stated_root(monkeypatch):
+    from permgrowth import tables
+
+    stated = IntPolynomial([6, -5, 1])  # (x - 2)(x - 3); 1,1,2 grows at rate 2
+    monkeypatch.setattr(tables, "TABLES", {1: (tables._fixed("1,1,2", stated, "above"),)})
+    (e,) = table_rows(1)
+    assert not e.core_agrees
+    assert e.growth == 3.0
+    assert verify_table(1)["problems"] == ["1,1,2 []: stated polynomial disagrees with the sequence"]
+    # an isolating interval (q - 1, q] ends at the root itself
+    for q in (Fraction(3), Fraction(1, 3), Fraction(-7, 5), Fraction(2**60 + 1, 2**60)):
+        f = tables._float_at_most(AlgebraicNumber.from_rational(q))
+        assert f <= q < math.nextafter(f, math.inf), q
+
+
+def test_equal_floats_are_ordered_by_exact_rate(monkeypatch):
+    from permgrowth import tables
+
+    # rates 3 + 2^-60 and 3 share the float 3.0; the tie rule alone would
+    # put the first row, of lower sequence text, first
+    above = IntPolynomial([-(3 * 2**60 + 1), 2**60])
+    monkeypatch.setattr(tables, "TABLES", {1: (
+        tables._fixed("1,1,2", above, "above"),
+        tables._fixed("1,1,3", IntPolynomial([-3, 1]), "above"),
+    )})
+    rows = table_rows(1)
+    assert [e.growth for e in rows] == [3.0, 3.0]
+    assert [str(e.sequence) for e in rows] == ["1,1,3", "1,1,2"]
+
+
+def test_float_search_is_bounded_and_exact(monkeypatch):
+    from permgrowth import tables
+
+    calls = []
+
+    def at_most(f):
+        calls.append(f)
+        return f <= 2.5
+
+    above = math.nextafter(2.5, math.inf)
+    for guess in (None, 1.0, 2.5, above, 7.0):
+        calls.clear()
+        assert tables._last_float_at_most(at_most, 1.0, 8.0, guess) == 2.5
+        assert len(calls) <= ULP_STEPS + 64, guess
+        if guess == 2.5:
+            assert calls == [2.5, above]
+    # an iterate below 1 hands the search to bisection: x^2 + 1 has no real root
+    assert tables._newton([1, 0, 1], 3.0) is None
+    # with no neighbour steps, bisection alone gives every float
+    expected = [e.growth for e in table_rows(3)]
+    monkeypatch.setattr(tables, "ULP_STEPS", 0)
+    assert [e.growth for e in table_rows(3)] == expected
 
 
 def test_verify_table_report_shape():
