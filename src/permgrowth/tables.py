@@ -55,11 +55,11 @@ from typing import Callable, NamedTuple, Optional
 from .algebraics import (
     KAPPA_POLY,
     XI_POLY,
-    AlgebraicNumber,
     _sign_at,
     compare,
     family_roots,
     largest_real_root,
+    root_bound,
     xi,
 )
 from .polynomials import ONE, IntPolynomial
@@ -353,105 +353,52 @@ def _computed_core(s: SumSequence) -> IntPolynomial:
     return _strip_trivial(den.reciprocal())
 
 
-NEWTON_STEPS = 60  # float Newton iterations before the exact sign tests
-ULP_STEPS = 4  # neighbouring floats tried after Newton, before bisection
-
-
-def _last_float_at_most(at_most: Callable[[float], bool], lo: float, hi: float,
-                        guess: Optional[float] = None) -> float:
-    """The greatest float f in [lo, hi) with ``at_most(f)``, where
-    ``at_most`` holds up to some point and fails above it, holds at ``lo``
-    and fails at ``hi``.  ``guess`` and up to ``ULP_STEPS`` of its
-    neighbours are tried first; bisection on floats finishes the search.
-    Each bisection step halves hi - lo, up to rounding, until the two are
-    adjacent floats, so it ends within about 2100 steps even on the whole
-    float range, and within about 120 on (1, 2**64)."""
-    f = guess
-    for _ in range(ULP_STEPS):
-        if f is None or not lo < f < hi:
-            break
-        if at_most(f):
-            lo, f = f, math.nextafter(f, math.inf)
-        else:
-            hi, f = f, math.nextafter(f, -math.inf)
-    while True:
-        # the rounded midpoint lies strictly between lo and hi unless they
-        # are adjacent floats
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            return lo
-        if at_most(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
-def _newton(coeffs, x: float) -> Optional[float]:
-    """Float Newton iteration from ``x``: its last iterate, or None if an
-    iterate leaves (1, x)."""
-    top = x
-    for _ in range(NEWTON_STEPS):
-        p = dp = 0.0
-        for c in reversed(coeffs):
-            dp = dp * x + p
-            p = p * x + c
-        if not dp:
-            break
-        step = p / dp
-        if not 1.0 < x - step < top:
-            return None
-        if x - step == x:
-            break
-        x -= step
-    return x
-
-
-def _core_growth_float(core: IntPolynomial) -> float:
-    """The greatest float at most the growth rate r, where ``core`` is a
-    row's core that equals the one computed from its sequence.
-
-    With g the SI generating function, which has nonnegative coefficients,
-    1 - g(1/x) increases strictly on x > 1, and the class g.f.'s
-    denominator is D * (1 - g), where D has its roots on the unit circle.
-    So on (1, inf) the core has exactly one root, r, simple, with the core
-    negative on (1, r) and positive above it.  A float is dyadic, so the
-    sign of the core at it is exact: f <= r iff core(f) <= 0.  Float Newton
-    from a bound above every root guesses f; the exact signs at f and its
-    neighbour certify it, and bisection on (1, bound) takes over if they
-    do not.
-    """
-    cs = core.coeffs
-    # above Cauchy's bound 1 + max |c| / lead (``algebraics.root_bound``)
-    # without its Fractions
-    hi = float(2 + max(map(abs, cs)) // cs[-1])
-
-    def at_most(f: float) -> bool:
-        n, d = f.as_integer_ratio()
-        return _sign_at(cs, n, d) <= 0
-
-    return _last_float_at_most(at_most, 1.0, hi, _newton(cs, hi))
-
-
-def _float_at_most(a: AlgebraicNumber) -> float:
-    """The greatest float at most ``a``, by bisection on floats from its
-    isolating interval (lo, hi]: unless a is hi itself, its defining
+def _float_at_most(coeffs, lo: Fraction, hi: Fraction) -> float:
+    """The greatest float at most a, where a is the only root in (lo, hi]
+    of the polynomial with ``coeffs`` and, unless a is hi itself, the
     polynomial takes the sign it has at hi on (a, hi] and the other sign on
-    (lo, a)."""
-    cs, lo, hi = a.poly.coeffs, a.lo, a.hi
-    at_hi = _sign_at(cs, hi.numerator, hi.denominator)
+    (lo, a).
 
-    def at_most(f: float) -> bool:
-        if not lo < f <= hi:
-            return f <= lo
-        n, d = f.as_integer_ratio()
-        return not at_hi or _sign_at(cs, n, d) != at_hi
-
+    The search keeps floats lo_f <= a < hi_f and starts from the floats
+    next to lo and hi outside (lo, hi], so every float strictly between
+    them lies in (lo, hi].  A float is dyadic, so the sign there is exact.
+    Bisection on floats halves the gap, up to rounding, until two adjacent
+    floats remain: within about 2100 steps even on the whole float range.
+    """
+    at_hi = _sign_at(coeffs, hi.numerator, hi.denominator)
     lo_f, hi_f = float(lo), float(hi)
     if lo_f > lo:
         lo_f = math.nextafter(lo_f, -math.inf)
     if hi_f <= hi:
         hi_f = math.nextafter(hi_f, math.inf)
-    return _last_float_at_most(at_most, lo_f, hi_f)
+    while True:
+        # the rounded midpoint lies strictly between lo_f and hi_f unless
+        # they are adjacent floats
+        mid = (lo_f + hi_f) / 2
+        if mid == lo_f or mid == hi_f:
+            return lo_f
+        if not at_hi or _sign_at(coeffs, *mid.as_integer_ratio()) != at_hi:
+            lo_f = mid
+        else:
+            hi_f = mid
+
+
+def _growth_float(stated: IntPolynomial, core: IntPolynomial, agrees: bool) -> float:
+    """The greatest float at most a row's growth rate r.
+
+    When the stated core agrees with the sequence and is not constant, the
+    search needs no Sturm chain.  With g the SI generating function, which
+    has nonnegative coefficients, 1 - g(1/x) increases strictly on x > 1,
+    and the class g.f.'s denominator is D * (1 - g), where D has its roots
+    on the unit circle.  So on (1, inf) the core has exactly one root, r,
+    simple, with the core negative on (1, r) and positive above it, up to
+    ``root_bound``.  Any other row, a constant core included (rate 1), uses
+    the isolated greatest root of its stated polynomial.
+    """
+    if agrees and core.degree >= 1:
+        return _float_at_most(core.coeffs, Fraction(1), root_bound(core))
+    a = largest_real_root(stated)
+    return _float_at_most(a.poly.coeffs, a.lo, a.hi)
 
 
 def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
@@ -508,12 +455,7 @@ def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
                 seen.add(key)
                 core = _strip_trivial(stated)
                 agrees = core == _computed_core(seq)
-                # a row whose core disagrees with its sequence, or whose rate
-                # is not above 1 (a constant core), is isolated exactly
-                if agrees and core.degree >= 1:
-                    growth = _core_growth_float(core)
-                else:
-                    growth = _float_at_most(largest_real_root(stated))
+                growth = _growth_float(stated, core, agrees)
                 entries.append(TableEntry(
                     which, row.family, tuple(sorted(pv.items())), seq, stated,
                     growth, row.position, row, agrees,

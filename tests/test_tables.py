@@ -9,7 +9,6 @@ from permgrowth.sequences import SumSequence, is_legal
 from permgrowth.tables import (
     MAX_INDEX,
     TABLES,
-    ULP_STEPS,
     _parse,
     _strip_trivial,
     entries_to_csv,
@@ -137,7 +136,8 @@ def test_a_row_whose_core_disagrees_gets_its_stated_root(monkeypatch):
     assert verify_table(1)["problems"] == ["1,1,2 []: stated polynomial disagrees with the sequence"]
     # an isolating interval (q - 1, q] ends at the root itself
     for q in (Fraction(3), Fraction(1, 3), Fraction(-7, 5), Fraction(2**60 + 1, 2**60)):
-        f = tables._float_at_most(AlgebraicNumber.from_rational(q))
+        a = AlgebraicNumber.from_rational(q)
+        f = tables._float_at_most(a.poly.coeffs, a.lo, a.hi)
         assert f <= q < math.nextafter(f, math.inf), q
 
 
@@ -160,24 +160,24 @@ def test_float_search_is_bounded_and_exact(monkeypatch):
     from permgrowth import tables
 
     calls = []
+    real_sign_at = tables._sign_at
 
-    def at_most(f):
-        calls.append(f)
-        return f <= 2.5
+    def counting_sign_at(coeffs, n, d):
+        calls.append((n, d))
+        return real_sign_at(coeffs, n, d)
 
-    above = math.nextafter(2.5, math.inf)
-    for guess in (None, 1.0, 2.5, above, 7.0):
-        calls.clear()
-        assert tables._last_float_at_most(at_most, 1.0, 8.0, guess) == 2.5
-        assert len(calls) <= ULP_STEPS + 64, guess
-        if guess == 2.5:
-            assert calls == [2.5, above]
-    # an iterate below 1 hands the search to bisection: x^2 + 1 has no real root
-    assert tables._newton([1, 0, 1], 3.0) is None
-    # with no neighbour steps, bisection alone gives every float
-    expected = [e.growth for e in table_rows(3)]
-    monkeypatch.setattr(tables, "ULP_STEPS", 0)
-    assert [e.growth for e in table_rows(3)] == expected
+    monkeypatch.setattr(tables, "_sign_at", counting_sign_at)
+    # 2x - 5 on (1, 8]: the root 5/2 is a float; x - 8 at its endpoint 8
+    assert tables._float_at_most([-5, 2], Fraction(1), Fraction(8)) == 2.5
+    assert len(calls) <= 1 + 64
+    calls.clear()
+    assert tables._float_at_most([-8, 1], Fraction(1), Fraction(8)) == 8.0
+    assert len(calls) == 1
+    # a root of 1 + 2^-60, between the floats 1 and 1 + 2^-52
+    calls.clear()
+    q = 1 + Fraction(1, 2**60)
+    assert tables._float_at_most([-q.numerator, q.denominator], Fraction(1), Fraction(2)) == 1.0
+    assert len(calls) <= 1 + 64
 
 
 def test_verify_table_report_shape():
