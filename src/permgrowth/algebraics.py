@@ -81,8 +81,7 @@ def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
 
 def root_bound(p: IntPolynomial) -> Fraction:
     """Cauchy bound: all real roots lie in (-M, M)."""
-    lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs)
+    return 1 + Fraction(max(map(abs, p.coeffs)), abs(p.leading))
 
 
 class AlgebraicNumber:

@@ -95,6 +95,11 @@ def test_cli_import_loads_no_dataclasses():
         (["growth-rate", "--basis", "BASIS"], {"tables", "sequences", "reconstruction"}),
         (["table2", "--max-len", "2"], {"classes", "insertion", "reconstruction"}),
         (["table4", "--max-len", "2"], {"classes", "insertion", "reconstruction"}),
+        (
+            ["accumulation"],
+            {"tables", "sequences", "perms", "classes", "insertion", "reconstruction"},
+        ),
+        (["search-112344"], {"tables", "sequences", "algebraics", "reconstruction"}),
     ],
 )
 def test_a_call_loads_only_the_modules_its_campaign_runs(argv, unloaded, tmp_path):

@@ -338,6 +338,13 @@ def test_largest_real_root_is_isolated(p):
     assert sympy.Rational(r.lo) < top <= sympy.Rational(r.hi)
 
 
+@given(st.lists(st.integers(-50, 50), max_size=12), st.integers(-50, 50).filter(bool))
+def test_root_bound_is_cauchys_bound(lower, lead):
+    coeffs = lower + [lead]
+    expected = 1 + max(Fraction(abs(c), abs(lead)) for c in coeffs)
+    assert root_bound(IntPolynomial(coeffs)) == expected
+
+
 def _sympy_factors(p):
     _, factors = _to_sympy(p).factor_list()
     out = [_from_sympy(P).primitive() for P, _ in factors if P.degree() >= 1]

@@ -180,6 +180,74 @@ def test_float_search_is_bounded_and_exact(monkeypatch):
     assert len(calls) <= 1 + 64
 
 
+# estimates that the Newton helper is replaced by, from the search's floats
+# lo_f < g < hi_f, where g is the growth float the search returns
+_ESTIMATES = {
+    "nan": lambda lo_f, hi_f, g: math.nan,
+    "inf": lambda lo_f, hi_f, g: math.inf,
+    "-inf": lambda lo_f, hi_f, g: -math.inf,
+    "lo_f": lambda lo_f, hi_f, g: lo_f,
+    "hi_f": lambda lo_f, hi_f, g: hi_f,
+    "far below": lambda lo_f, hi_f, g: (lo_f + g) / 2,
+    "just above": lambda lo_f, hi_f, g: math.nextafter(g, math.inf),
+}
+
+
+@pytest.mark.parametrize("estimate", _ESTIMATES)
+def test_the_estimate_cannot_change_a_growth(estimate, monkeypatch):
+    from permgrowth import tables
+
+    def rows():
+        return [(str(e.sequence), e.polynomial.coeffs, e.growth)
+                for which in (2, 3) for e in table_rows(which, 6)]
+
+    searches = []
+    real_search = tables._float_at_most
+
+    def recording_search(coeffs, lo, hi):
+        g = real_search(coeffs, lo, hi)
+        lo_f = float(lo)
+        if lo_f > lo:
+            lo_f = math.nextafter(lo_f, -math.inf)
+        searches.append((lo_f, g))
+        return g
+
+    monkeypatch.setattr(tables, "_float_at_most", recording_search)
+    want = rows()
+    monkeypatch.undo()
+    # the searches run in the same order again, one per row
+    pending = iter(searches)
+
+    def estimate_of(coeffs, hi_f):
+        lo_f, g = next(pending)
+        return _ESTIMATES[estimate](lo_f, hi_f, g)
+
+    monkeypatch.setattr(tables, "_newton", estimate_of)
+    assert rows() == want
+    assert next(pending, None) is None
+
+
+def test_every_growth_takes_three_sign_tests(monkeypatch):
+    from permgrowth import tables
+
+    calls = []
+    real_sign_at, real_growth_float = tables._sign_at, tables._growth_float
+
+    def counting_sign_at(coeffs, n, d):
+        calls[-1] += 1
+        return real_sign_at(coeffs, n, d)
+
+    def counting_growth_float(*args):
+        calls.append(0)
+        return real_growth_float(*args)
+
+    monkeypatch.setattr(tables, "_sign_at", counting_sign_at)
+    monkeypatch.setattr(tables, "_growth_float", counting_growth_float)
+    n_rows = sum(len(table_rows(which, 6)) for which in (1, 2, 3, 4))
+    assert len(calls) == n_rows == 3503
+    assert max(calls) <= 3, [k for k in calls if k > 3][:5]
+
+
 def test_verify_table_report_shape():
     result = verify_table(1, max_index=4)
     assert set(result) == {"table", "checked", "rows", "problems", "passed"}
