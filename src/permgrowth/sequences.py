@@ -21,21 +21,11 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .algebraics import AlgebraicNumber, growth_polynomial, largest_real_root, position_vs_xi
-from .perms import (
-    Permutation,
-    children,
-    direct_sum,
-    head_member,
-    increasing_oscillation,
-    parse_permutation,
-    skew_sum,
-    split_end_member,
-    tail_member,
-)
 from .polynomials import ONE, IntPolynomial, RationalFunction
 
 if TYPE_CHECKING:
     from .classes import ClassSpec
+    from .perms import Permutation
 
 
 # most counts, prefix and tail together, that SumSequence.parse reads:
@@ -235,6 +225,8 @@ class Construction(NamedTuple):
     chain_min: int
 
     def level(self, n: int) -> list[Permutation]:
+        from .perms import parse_permutation
+
         if n < 1:
             raise ValueError("levels start at 1")
         members = [chain(n) for start, chain in self.chains if n >= start]
@@ -242,19 +234,39 @@ class Construction(NamedTuple):
 
     def template(self) -> SumSequence:
         """The largest sequence the construction selects from: its level
-        sizes below ``chain_min``, then one member per chain."""
-        sizes = [len(self.level(n)) for n in range(1, self.chain_min)]
+        sizes below ``chain_min``, then one member per chain.  A level's
+        size is its chains started by then plus its extra members, so no
+        permutation is built."""
+        sizes = [
+            sum(start <= n for start, _ in self.chains) + len(self.extra.get(n, ()))
+            for n in range(1, self.chain_min)
+        ]
         return SumSequence(sizes, (len(self.chains),))
 
 
 def _wide_chain(head: str) -> tuple[int, Callable[[int], Permutation]]:
     """The chain (h ⊕ 12...k) ⊖ 1 for k >= 0, from length len(h) + 1."""
-    h = parse_permutation(head)
+    size = len(head.split())
 
     def chain(n: int) -> Permutation:
-        return skew_sum(direct_sum(h, Permutation(range(1, n - len(h)))), Permutation((1,)))
+        from .perms import Permutation, direct_sum, parse_permutation, skew_sum
 
-    return len(h) + 1, chain
+        h = parse_permutation(head)
+        return skew_sum(direct_sum(h, Permutation(range(1, n - size))), Permutation((1,)))
+
+    return size + 1, chain
+
+
+def _perms_chain(name: str, **options) -> Callable[[int], Permutation]:
+    """The chain n -> perms.<name>(n, **options); perms loads at its first
+    member, so classifying a sequence builds and loads no permutation."""
+
+    def chain(n: int) -> Permutation:
+        from . import perms
+
+        return getattr(perms, name)(n, **options)
+
+    return chain
 
 
 WIDE = Construction(
@@ -269,10 +281,10 @@ WIDE = Construction(
 NARROW = Construction(
     "narrow",
     (
-        (1, increasing_oscillation),
-        (3, lambda n: increasing_oscillation(n, primary=False)),
-        (4, head_member),
-        (5, tail_member),
+        (1, _perms_chain("increasing_oscillation")),
+        (3, _perms_chain("increasing_oscillation", primary=False)),
+        (4, _perms_chain("head_member")),
+        (5, _perms_chain("tail_member")),
     ),
     {},
     5,
@@ -334,6 +346,8 @@ def _selection_oracle(
     """Membership of a permutation in the sum closure of the selected levels
     and the active chains: each of its sum components is an SI pattern of
     one of them."""
+    from .perms import children
+
     flat = [q for level in levels.values() for q in level]
 
     @lru_cache(maxsize=None)
@@ -370,9 +384,13 @@ def realize(s: SumSequence) -> Realization:
     the constructions (classify(s) calls it realizable).  Level n selects
     the first s_n members of the construction's level, which the template
     guarantees are there, and a tail of value t the first t chains.  The
-    witness basis is recomputed from the selection and validated
-    downstream by census."""
+    witness basis is recomputed from the selection, and the class is
+    returned only when the SI generating function of its insertion-encoding
+    automaton equals the sequence's, which certifies the counts at every
+    length; otherwise ValueError names the sequence."""
     from .classes import ClassSpec, compute_basis
+    from .insertion import class_gf, si_gf
+    from .perms import split_end_member
 
     chosen = _construction_of(s) if is_legal(s) else None
     if chosen is None:
@@ -387,8 +405,10 @@ def realize(s: SumSequence) -> Realization:
         levels[n] = pool[: s.term(n)]
     active = [chain for _, chain in construction.chains[: s.term(explicit_to + 1)]]
     oracle = _selection_oracle(levels, active, construction.chain_min)
-    basis = compute_basis(oracle, max(7, len(s.prefix) + 2))
-    return Realization(construction.name, ClassSpec(basis))
+    spec = ClassSpec(compute_basis(oracle, max(7, len(s.prefix) + 2)))
+    if si_gf(class_gf(spec)) != gf_of_sequence(s):
+        raise ValueError("the class built for %s does not realize it" % s)
+    return Realization(construction.name, spec)
 
 
 class ClassificationVerdict(NamedTuple):

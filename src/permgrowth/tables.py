@@ -19,6 +19,14 @@ label first names them:
 >>> _sequence_of(terms, tail, {"i": 2})
 SumSequence('1,1,3,2,2,(1)')
 
+A row states its polynomial as a staircase of coefficients (C_0, ..., C_r)
+in Z[x], one step per parameter in label order: with y_p = x^(p-th
+parameter), stated = C_0 y_1...y_r + C_1 y_2...y_r + ... + C_r, and a row
+without parameters states C_0.  So the form is read off for every index: a
+convergent family's limit is C_0 up to a power of x, and a certificate's R
+(below) is nonnegative at every index when each coefficient after the
+certificate's base has nonnegative coefficients.
+
 ``table_rows`` instantiates a table once: every row template in table
 order, each parameter assignment up to the index bound, deduplicated on the
 pair (sequence, polynomial) and sorted by growth rate.  ``verify_table``
@@ -32,7 +40,8 @@ checks the entries it returns.  Verification per instantiated row:
   compared directly by Sturm isolation.  The large parameterized families
   instead carry a positivity certificate: stated = x^a * F + R where R has
   nonnegative coefficients and F has no real root above xi, which forces
-  stated > 0 on [xi, infinity).
+  stated > 0 on [xi, infinity).  The base F is the staircase of a prefix
+  C_0, ..., C_b of the row's coefficients over its first b parameters.
 
 Each convergent family is checked exactly by ``algebraics.family_roots``:
 its roots move strictly toward the limit, the last within 1/20 of it.
@@ -50,7 +59,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebraics import (
     KAPPA_POLY,
@@ -78,20 +87,38 @@ def _poly(terms: dict[int, int]) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _mono(e: int) -> IntPolynomial:
-    return IntPolynomial.monomial(e)
+def _staircase(coeffs: tuple, values) -> IntPolynomial:
+    """C_0 y_1...y_r + C_1 y_2...y_r + ... + C_r for ``coeffs`` (C_0, ...,
+    C_r) and y_p = x^(values[p - 1]), by Horner's rule in y.  Values past
+    the r-th are not read, so a prefix of a row's coefficients gives the
+    staircase of its leading parameters.
+
+    >>> x_minus_2 = IntPolynomial([-2, 1])
+    >>> str(_staircase((x_minus_2, ONE, ONE), (2, 1)))  # (x - 2) x^3 + x + 1
+    '1 + x - 2x^3 + x^4'
+    >>> str(_staircase((x_minus_2, ONE), (2, 1)))  # (x - 2) x^2 + 1
+    '1 - 2x^2 + x^3'
+    """
+    acc = coeffs[0]
+    for c, v in zip(coeffs[1:], values):
+        acc = acc.shift(v) + c
+    return acc
 
 
 class RowTemplate(NamedTuple):
     family: str  # the row's sequence, in the notation of the module docstring
     params: tuple  # a tuple of allowed values per parameter, in label order
-    poly: Callable[[dict], IntPolynomial]
+    coeffs: tuple  # the stated polynomial's staircase (C_0, ..., C_r)
     position: str  # "at" | "above" | "below"
-    # positivity certificate for "below" rows: stated = x^a * base + R,
-    # a = deg stated - deg base
-    base: Optional[Callable[[dict], IntPolynomial]] = None
+    # positivity certificate for "below" rows: its base is the staircase of
+    # coeffs[:base + 1] over the first ``base`` parameters
+    base: Optional[int] = None
     # the polynomial whose root a convergent family approaches
     limit: Optional[IntPolynomial] = None
+
+    def poly(self, pv: dict) -> IntPolynomial:
+        """The stated polynomial at the parameter values ``pv``."""
+        return _staircase(self.coeffs, [pv[n] for n in _parse(self.family)[2]])
 
 
 class TableEntry(NamedTuple):
@@ -131,12 +158,6 @@ def _sequence_of(terms: tuple, tail: Optional[int], pv: dict) -> SumSequence:
     return SumSequence(prefix, (tail,) if tail is not None else ())
 
 
-def _assignments(names: tuple, domains: tuple, max_index: int):
-    pools = [[v for v in values if v <= max_index] for values in domains]
-    for combo in itertools.product(*pools):
-        yield dict(zip(names, combo))
-
-
 FULL = tuple(range(0, 7))
 MAX_INDEX = FULL[-1]  # no family has a parameter value above this
 EVEN = (2, 4, 6)
@@ -148,7 +169,7 @@ Q = XI_POLY
 
 
 def _fixed(family: str, stated: IntPolynomial, position: str) -> RowTemplate:
-    return RowTemplate(family, (), lambda pv, p=stated: p, position)
+    return RowTemplate(family, (), (stated,), position)
 
 
 _TABLE1 = (
@@ -172,33 +193,26 @@ _TABLE1 = (
 )
 
 
-def _t2_row(family: str, g_terms: dict[int, int], shift_plus: int) -> RowTemplate:
-    g = _poly(g_terms)
-    return RowTemplate(
-        family, (FULL,),
-        lambda pv, g=g, k=shift_plus: Q.shift(pv["i"] + k) + g,
-        "above", limit=Q,
-    )
-
-
-# shift exponents and offset terms for the convergent table 2 families; the
-# offset is negative just right of xi, so the roots approach xi from above
-_TABLE2_FAMILY_DATA = (
-    ("1,1,2,3,4^i,5,3,3,3", {4: -1, 3: 2, 0: 3}, 4),
-    ("1,1,2,3,4^i,5,4,1,1,1,1,1,1", {8: -1, 7: 1, 6: 3, 0: 1}, 8),
-    ("1,1,2,3,4^i,5,4,2", {3: -1, 2: 1, 1: 2, 0: 2}, 3),
-    ("1,1,2,3,4^i,5,5", {2: -1, 0: 5}, 2),
-    ("1,1,2,3,4^i,6,2,1,1", {4: -2, 3: 4, 2: 1, 0: 1}, 4),
-    ("1,1,2,3,4^i,6,2,2", {3: -2, 2: 4, 0: 2}, 3),
-    ("1,1,2,3,4^i,6,3", {2: -2, 1: 3, 0: 3}, 2),
-    ("1,1,2,3,4^i,7,1", {2: -3, 1: 6, 0: 1}, 2),
-    ("1,1,2,3,4^i,8", {1: -4, 0: 8}, 1),
-)
-
+# the convergent table 2 families are stated x^(i + k) Q + g; the offset g
+# is negative just right of xi, so the roots approach xi from above
 _TABLE2 = (
     _fixed("1,1,2,3,4^inf", Q, "at"),
-    RowTemplate("1,1,2,3,4^i,5,3,3,2,1", (FULL,), lambda pv: Q, "at"),
-) + tuple(_t2_row(*data) for data in _TABLE2_FAMILY_DATA)
+    # stated Q at every i
+    RowTemplate("1,1,2,3,4^i,5,3,3,2,1", (FULL,), (IntPolynomial(()), Q), "at"),
+) + tuple(
+    RowTemplate(family, (FULL,), (Q.shift(k), _poly(g)), "above", limit=Q)
+    for family, g, k in (
+        ("1,1,2,3,4^i,5,3,3,3", {4: -1, 3: 2, 0: 3}, 4),
+        ("1,1,2,3,4^i,5,4,1,1,1,1,1,1", {8: -1, 7: 1, 6: 3, 0: 1}, 8),
+        ("1,1,2,3,4^i,5,4,2", {3: -1, 2: 1, 1: 2, 0: 2}, 3),
+        ("1,1,2,3,4^i,5,5", {2: -1, 0: 5}, 2),
+        ("1,1,2,3,4^i,6,2,1,1", {4: -2, 3: 4, 2: 1, 0: 1}, 4),
+        ("1,1,2,3,4^i,6,2,2", {3: -2, 2: 4, 0: 2}, 3),
+        ("1,1,2,3,4^i,6,3", {2: -2, 1: 3, 0: 3}, 2),
+        ("1,1,2,3,4^i,7,1", {2: -3, 1: 6, 0: 1}, 2),
+        ("1,1,2,3,4^i,8", {1: -4, 0: 8}, 1),
+    )
+)
 
 
 # base polynomials for the table 3 families; each has greatest real root
@@ -213,114 +227,73 @@ _B_1124_2 = _poly({5: 1, 4: -2, 2: -1, 1: -2, 0: 2})
 _B_ONE = _poly({1: 1, 0: -2})
 
 
-def _t3_i(family: str, base: IntPolynomial, values: tuple = FULL,
+def _ones(family: str, base: IntPolynomial, params: tuple = (FULL,),
           convergent: bool = True) -> RowTemplate:
-    # bounded families (the base root itself sits above xi, which is why the
-    # index is bounded) get no certificate and are root-compared directly
+    """The family stated as the staircase (base, 1, ..., 1): a convergent
+    one is certified by its base and approaches the base's root from below.
+    A bounded one (the base root itself sits above xi, which is why the
+    index is bounded) gets no certificate and is root-compared directly."""
     return RowTemplate(
-        family, (values,),
-        lambda pv, b=base: b.shift(pv["i"]) + ONE, "below",
-        base=(lambda pv, b=base: b) if convergent else None,
+        family, params, (base,) + (ONE,) * len(params), "below",
+        base=0 if convergent else None,
         limit=base if convergent else None,
     )
 
 
-def _t3_ij(family: str, base: IntPolynomial) -> RowTemplate:
-    return RowTemplate(
-        family, (FULL, FULL),
-        lambda pv, b=base: b.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
-        "below",
-        base=lambda pv, b=base: b,
-        limit=base,
-    )
-
-
 _TABLE3 = (
-    _t3_i("1,1,3,3,1^i", _B_1331, values=LE5, convergent=False),
+    _ones("1,1,3,3,1^i", _B_1331, (LE5,), convergent=False),
     _fixed("1,1,3,2^inf", _B_113_2, "below"),
-    _t3_i("1,1,3,2^i,1^inf", _B_113_2),
-    _t3_ij("1,1,3,2^i,1^j", _B_113_2),
+    _ones("1,1,3,2^i,1^inf", _B_113_2),
+    _ones("1,1,3,2^i,1^j", _B_113_2, (FULL, FULL)),
     _fixed("1,1,2,5,2,1", _poly({6: 1, 5: -1, 4: -1, 3: -2, 2: -5, 1: -2, 0: -1}), "below"),
     _fixed("1,1,2,5,2", _poly({5: 1, 4: -1, 3: -1, 2: -2, 1: -5, 0: -2}), "below"),
     _fixed("1,1,2,5,1^inf", _B_1125_1, "below"),
-    _t3_i("1,1,2,5,1^i", _B_1125_1),
-    _t3_i("1,1,2,4,4,1^i", _B_11244, values=LE5, convergent=False),
+    _ones("1,1,2,5,1^i", _B_1125_1),
+    _ones("1,1,2,4,4,1^i", _B_11244, (LE5,), convergent=False),
     _fixed("1,1,2,4,3,3,2", _poly({7: 1, 6: -1, 5: -1, 4: -2, 3: -4, 2: -3, 1: -3, 0: -2}),
            "below"),
     _fixed("1,1,2,4,3,3,1^inf", _B_112433_1, "below"),
-    _t3_i("1,1,2,4,3,3,1^i", _B_112433_1),
+    _ones("1,1,2,4,3,3,1^i", _B_112433_1),
     _fixed("1,1,2,4,3,2^inf", _B_11243_2, "below"),
-    _t3_i("1,1,2,4,3,2^i,1^inf", _B_11243_2),
-    _t3_ij("1,1,2,4,3,2^i,1^j", _B_11243_2),
+    _ones("1,1,2,4,3,2^i,1^inf", _B_11243_2),
+    _ones("1,1,2,4,3,2^i,1^j", _B_11243_2, (FULL, FULL)),
     _fixed("1,1,2,4,2^inf", _B_1124_2, "below"),
-    _t3_i("1,1,2,4,2^i,1^inf", _B_1124_2),
-    _t3_ij("1,1,2,4,2^i,1^j", _B_1124_2),
+    _ones("1,1,2,4,2^i,1^inf", _B_1124_2),
+    _ones("1,1,2,4,2^i,1^j", _B_1124_2, (FULL, FULL)),
     _fixed("1,1,2^inf", KAPPA_POLY, "below"),
-    _t3_i("1,1,2^i,1^inf", KAPPA_POLY),
-    _t3_ij("1,1,2^i,1^j", KAPPA_POLY),
+    _ones("1,1,2^i,1^inf", KAPPA_POLY),
+    _ones("1,1,2^i,1^j", KAPPA_POLY, (FULL, FULL)),
     _fixed("1^inf", _B_ONE, "below"),
-    _t3_i("1^i", _B_ONE, values=tuple(range(1, 7))),
+    _ones("1^i", _B_ONE, (tuple(range(1, 7)),)),
 )
 
 
-def _t4_certified(pv: dict) -> IntPolynomial:
-    # stated = x^(k+l) * F + lower positive terms, with
-    # F = x^(i+j+1) Q - x^j (x - 2) + 1 having greatest real root below xi
-    i, j = pv["i"], pv["j"]
-    return Q.shift(i + j + 1) - _poly({1: 1, 0: -2}).shift(j) + ONE
-
-
-_T4_541 = lambda pv: (
-    Q.shift(pv["i"] + pv["j"] + 2) - _poly({2: 1, 1: -1, 0: -3}).shift(pv["j"]) + ONE
-)
-
-_T4_5331 = lambda pv: (
-    Q.shift(pv["i"] + pv["j"] + 3) - _poly({3: 1, 2: -2, 0: -2}).shift(pv["j"]) + ONE
-)
-
-_T4_5321 = lambda pv: (
-    _t4_certified(pv).shift(pv["k"] + pv["l"]) + _mono(pv["l"]) + ONE
-)
+# staircases that several table 4 rows share
+_C_541 = (Q.shift(2), _poly({2: -1, 1: 1, 0: 3}), ONE)
+_C_5331 = (Q.shift(3), _poly({3: -1, 2: 2, 0: 2}), ONE)
+# x^(i+j+1) Q - x^j (x - 2) + 1, with greatest real root below xi: the base
+# of the certificates of the 5,3^j,2^k,1 families
+_C_532 = (Q.shift(1), _poly({1: -1, 0: 2}), ONE)
 
 _TABLE4 = (
-    RowTemplate("1,1,2,3,4^i,5,4,1^j", (LE1, LE5), _T4_541, "below"),
-    RowTemplate("1,1,2,3,4^i,5,4,1^j", (EVEN, LE1), _T4_541, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,4,1^j", (LE1, LE5), _C_541, "below"),
+    RowTemplate("1,1,2,3,4^i,5,4,1^j", (EVEN, LE1), _C_541, "below", limit=Q),
     RowTemplate("1,1,2,3,4^i,5,3,3,2", (ONE_OR_EVEN,),
-                lambda pv: Q.shift(pv["i"] + 4) + _poly({4: -1, 3: 2, 1: 1, 0: 2}),
-                "below", limit=Q),
-    RowTemplate("1,1,2,3,4^i,5,3,3,1^inf", (LE1,),
-                lambda pv: Q.shift(pv["i"] + 3) + _poly({3: -1, 2: 2, 0: 2}),
-                "below"),
-    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (LE1, FULL), _T4_5331, "below"),
-    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (EVEN, LE1), _T4_5331, "below", limit=Q),
-    RowTemplate("1,1,2,3,4^i,5,3^j,2^inf", (ONE_OR_EVEN, LE1),
-                _t4_certified, "below", limit=Q),
-    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^inf", (LE1, LE1, FULL),
-                lambda pv: _t4_certified(pv).shift(pv["k"]) + ONE,
-                "below",
-                base=_t4_certified),
-    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (LE1, LE1, FULL, FULL), _T4_5321, "below",
-                base=_t4_certified),
-    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (EVEN, LE1, FULL, LE1), _T4_5321, "below",
-                base=_t4_certified, limit=Q),
-    RowTemplate("1,1,2,3,4^i,3^inf", (FULL,),
-                lambda pv: Q.shift(pv["i"]) + ONE, "below",
-                base=lambda pv: Q, limit=Q),
-    RowTemplate("1,1,2,3,4^i,3^j,2^inf", (FULL, FULL),
-                lambda pv: Q.shift(pv["i"] + pv["j"]) + _mono(pv["j"]) + ONE,
-                "below",
-                base=lambda pv: Q, limit=Q),
-    RowTemplate("1,1,2,3,4^i,3^j,2^k,1^inf", (FULL, FULL, FULL),
-                lambda pv: Q.shift(pv["i"] + pv["j"] + pv["k"])
-                + _mono(pv["j"] + pv["k"]) + _mono(pv["k"]) + ONE,
-                "below",
-                base=lambda pv: Q, limit=Q),
-    RowTemplate("1,1,2,3,4^i,3^j,2^k,1^l", (FULL, FULL, FULL, FULL),
-                lambda pv: Q.shift(pv["i"] + pv["j"] + pv["k"] + pv["l"])
-                + _mono(pv["j"] + pv["k"] + pv["l"])
-                + _mono(pv["k"] + pv["l"]) + _mono(pv["l"]) + ONE,
-                "below",
-                base=lambda pv: Q, limit=Q),
+                (Q.shift(4), _poly({4: -1, 3: 2, 1: 1, 0: 2})), "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^inf", (LE1,), _C_5331[:2], "below"),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (LE1, FULL), _C_5331, "below"),
+    RowTemplate("1,1,2,3,4^i,5,3,3,1^j", (EVEN, LE1), _C_5331, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^inf", (ONE_OR_EVEN, LE1), _C_532, "below", limit=Q),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^inf", (LE1, LE1, FULL), _C_532 + (ONE,), "below",
+                base=2),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (LE1, LE1, FULL, FULL), _C_532 + (ONE, ONE),
+                "below", base=2),
+    RowTemplate("1,1,2,3,4^i,5,3^j,2^k,1^l", (EVEN, LE1, FULL, LE1), _C_532 + (ONE, ONE),
+                "below", base=2, limit=Q),
+    _ones("1,1,2,3,4^i,3^inf", Q),
+    _ones("1,1,2,3,4^i,3^j,2^inf", Q, (FULL, FULL)),
+    _ones("1,1,2,3,4^i,3^j,2^k,1^inf", Q, (FULL,) * 3),
+    _ones("1,1,2,3,4^i,3^j,2^k,1^l", Q, (FULL,) * 4),
 )
 
 TABLES: dict[int, tuple[RowTemplate, ...]] = {
@@ -483,9 +456,11 @@ def table_rows(which: int, max_index: int = 6) -> list[TableEntry]:
     entries = []
     for row in TABLES[which]:
         terms, tail, names = _parse(row.family)
-        for pv in _assignments(names, row.params, max_index):
+        pools = [[v for v in values if v <= max_index] for values in row.params]
+        for values in itertools.product(*pools):
+            pv = dict(zip(names, values))
             seq = _sequence_of(terms, tail, pv)
-            stated = row.poly(pv)
+            stated = _staircase(row.coeffs, values)
             key = (str(seq), stated.coeffs)
             if key not in seen:
                 seen.add(key)
@@ -505,7 +480,8 @@ def _check_position(e: TableEntry) -> bool:
         # ties the sequence's growth to it
         return e.polynomial == XI_POLY
     if e.position == "below" and e.row.base is not None:
-        return _certified_below_xi(e.polynomial, e.row.base(dict(e.assignment)))
+        prefix = e.row._replace(coeffs=e.row.coeffs[: e.row.base + 1])
+        return _certified_below_xi(e.polynomial, prefix.poly(dict(e.assignment)))
     c = compare(largest_real_root(e.polynomial), xi())
     return c > 0 if e.position == "above" else c < 0
 

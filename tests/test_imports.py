@@ -86,15 +86,21 @@ def test_cli_import_loads_no_dataclasses():
             ["census", "--basis", "BASIS", "--max-len", "7"],
             {"tables", "sequences", "algebraics", "polynomials", "insertion", "reconstruction"},
         ),
-        (["classify", "--seq", "1,1,2,3,(4)"], {"tables", "classes", "insertion", "reconstruction"}),
+        (
+            ["classify", "--seq", "1,1,2,3,(4)"],
+            {"tables", "perms", "classes", "insertion", "reconstruction"},
+        ),
         (
             ["recon-verify", "--max-len", "6"],
             {"tables", "sequences", "insertion", "algebraics", "polynomials"},
         ),
-        (["growth-rate", "--seq", "1,1,2,3,(4)"], {"tables", "classes", "insertion", "reconstruction"}),
+        (
+            ["growth-rate", "--seq", "1,1,2,3,(4)"],
+            {"tables", "perms", "classes", "insertion", "reconstruction"},
+        ),
         (["growth-rate", "--basis", "BASIS"], {"tables", "sequences", "reconstruction"}),
-        (["table2", "--max-len", "2"], {"classes", "insertion", "reconstruction"}),
-        (["table4", "--max-len", "2"], {"classes", "insertion", "reconstruction"}),
+        (["table2", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"}),
+        (["table4", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"}),
         (
             ["accumulation"],
             {"tables", "sequences", "perms", "classes", "insertion", "reconstruction"},

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -240,10 +241,15 @@ def test_selection_oracle_agrees_with_embedding_search(construction):
 
 @pytest.mark.slow
 def test_realize_narrow_spike():
-    s = S("1,1,2,3,4,4,5,(4)")
+    s = S("1,1,2,3,4,4,5,4,2")
     r = realize(s)
     assert r.kind == "narrow"
-    assert census(r.spec, 10).si_sequence() == s.terms(10)
+    assert si_gf(class_gf(r.spec)) == gf_of_sequence(s)
+    # the classes built for these count a second 5 four lengths after the
+    # first (at 11 and 13), past a census to 10; realize refuses them
+    for text in ("1,1,2,3,4,4,5,(4)", "1,1,2,3,4,4,4,4,5,(4)"):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            realize(S(text))
 
 
 def _random_realizable(rng):

@@ -43,6 +43,35 @@ def test_every_row_has_one_domain_per_parameter():
                 assert all(0 <= v <= MAX_INDEX for v in values), (which, row.family)
 
 
+def _rows_with(field):
+    return [row for rows in TABLES.values() for row in rows if getattr(row, field) is not None]
+
+
+def test_every_limit_is_the_leading_coefficient():
+    # a family's limit is its leading coefficient C_0 with the power of x
+    # divided out: a fact of the row's form, so of every index
+    rows = _rows_with("limit")
+    assert len(rows) == 29
+    for row in rows:
+        c0 = row.coeffs[0].coeffs
+        lowest = next(e for e, c in enumerate(c0) if c)
+        assert row.limit == IntPolynomial(c0[lowest:]), row.family
+
+
+def test_every_certificate_remainder_is_positive_at_every_index():
+    # stated = x^a * F + R, F the staircase of coeffs[:base + 1]; R is the
+    # staircase of the later coefficients, so it has nonnegative
+    # coefficients at every index when they do, and is nonzero when the
+    # last one is
+    rows = _rows_with("base")
+    assert len(rows) == 18
+    for row in rows:
+        rest = row.coeffs[row.base + 1:]
+        assert rest, row.family
+        assert all(c >= 0 for p in rest for c in p.coeffs), row.family
+        assert not rest[-1].is_zero(), row.family
+
+
 def test_strip_trivial_removes_x_and_x_minus_and_plus_one():
     x, xm1, xp1 = IntPolynomial([0, 1]), IntPolynomial([-1, 1]), IntPolynomial([1, 1])
     core = XI_POLY * IntPolynomial([1, 0, 1])
@@ -306,7 +335,7 @@ def test_verify_table_reports_each_kind_of_failure(monkeypatch):
         tables._fixed("1,2", XI_POLY, "at"),
         tables._fixed("1,1,3,4", XI_POLY, "above"),
         tables._fixed("1,1,3,4", true_1134, "below"),
-        tables.RowTemplate(family, converging.params, converging.poly, "below",
+        tables.RowTemplate(family, converging.params, converging.coeffs, "below",
                            limit=converging.limit),
     )})
     result = verify_table(1, max_index=1)
