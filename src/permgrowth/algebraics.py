@@ -11,12 +11,22 @@ rate by the irreducible integer factor that owns it, found with
 ``polynomials.irreducible_factors``.  A root is isolated once and refined
 on demand: ``compare`` and ``approx`` narrow it as far as they need, so
 no answer or printed digit depends on the width; a reader of ``lo``/``hi``
-calls ``refine(eps)`` first.  ``family_roots`` is the one exact check
-that a family of roots converges, for the tables and ``accumulation``.
+calls ``refine(eps)`` first.  This module is the only one that decides
+how far a root is narrowed, and it has one narrowing routine,
+``_float_at_most``: the greatest float at most a root, found by exact sign
+tests at floats, where a float Newton probe only picks the points.
+``refine`` first narrows an interval to the float step that holds the
+root with it and bisects ``Fraction`` values only below that width, or
+for a root beyond the float range.  ``compare`` narrows both numbers so
+before it builds a gcd chain, so a gcd is computed only for roots within
+a float of each other.  ``family_roots`` is the one exact check that a
+family of roots converges, for the tables and ``accumulation``.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -84,6 +94,76 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(max(map(abs, p.coeffs)), abs(p.leading))
 
 
+def _newton(coeffs, x: float) -> float:
+    """An estimate of a root of the polynomial with ``coeffs``: float
+    Newton from ``x``, up to the first step that does not shrink, a zero
+    derivative or a value that is not finite (a coefficient beyond the
+    float range included)."""
+    last = math.inf
+    while True:
+        p = dp = 0.0
+        try:
+            for c in reversed(coeffs):
+                dp = dp * x + p
+                p = p * x + c
+        except OverflowError:
+            return x
+        if not dp:
+            return x
+        step = p / dp
+        # false for a NaN or infinite step too
+        if not abs(step) < abs(last):
+            return x
+        x, last = x - step, step
+
+
+def _float_at_most(coeffs, lo: Fraction, hi: Fraction) -> float:
+    """The greatest float at most a, where a is the only root in (lo, hi]
+    of the polynomial with ``coeffs`` and, unless a is hi itself, the
+    polynomial takes the sign it has at hi on (a, hi] and the other sign on
+    (lo, a).
+
+    The search keeps floats lo_f <= a < hi_f and starts from the floats
+    next to lo and hi outside (lo, hi], so every float strictly between
+    them lies in (lo, hi].  A float is dyadic, so the sign there is exact.
+    Two probes come first: the float that ``_newton`` reaches from hi_f,
+    then its neighbour on the side its sign points to.  A probe strictly
+    between lo_f and hi_f moves one of them as a bisection step would; any
+    other is skipped, so the estimate only chooses where to test and never
+    decides the answer.  When the probes land on adjacent floats, the
+    bisection that follows ends at once; otherwise it halves the gap, up to
+    rounding, until two adjacent floats remain: within about 2100 steps
+    even on the whole float range.
+    """
+    at_hi = _sign_at(coeffs, hi.numerator, hi.denominator)
+    lo_f, hi_f = float(lo), float(hi)
+    if lo_f > lo:
+        lo_f = math.nextafter(lo_f, -math.inf)
+    if hi_f <= hi:
+        hi_f = math.nextafter(hi_f, math.inf)
+    probe = _newton(coeffs, hi_f)
+    for _ in range(2):
+        if not lo_f < probe < hi_f:
+            break
+        if not at_hi or _sign_at(coeffs, *probe.as_integer_ratio()) != at_hi:
+            lo_f, probe = probe, math.nextafter(probe, math.inf)
+        else:
+            hi_f, probe = probe, math.nextafter(probe, -math.inf)
+    while True:
+        # the rounded midpoint lies strictly between lo_f and hi_f unless
+        # they are adjacent floats
+        mid = (lo_f + hi_f) / 2
+        if mid == lo_f or mid == hi_f:
+            return lo_f
+        if not at_hi or _sign_at(coeffs, *mid.as_integer_ratio()) != at_hi:
+            lo_f = mid
+        else:
+            hi_f = mid
+
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
 class AlgebraicNumber:
     """A real algebraic number: square-free defining polynomial plus an
     isolating rational interval (lo, hi] containing exactly one real root."""
@@ -105,15 +185,47 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, q: Fraction) -> "AlgebraicNumber":
+        """The rational q as the root of its linear polynomial in (q - 1, q].
+        No campaign calls it; it stays as the tests' exact oracle for
+        ``compare`` and ``approx``."""
         q = Fraction(q)
         poly = IntPolynomial([-q.numerator, q.denominator])
         return cls(poly, sturm_sequence(poly), q - 1, q)
 
     def refine(self, eps: Fraction) -> None:
-        """Shrink the isolating interval to width <= eps (bisection)."""
+        """Shrink the isolating interval to width <= eps: first to the float
+        step that holds the root (``_float_step``), then by ``Fraction``
+        bisection, which runs only where eps is below that step's width."""
         _check_eps(eps)
+        if self.hi - self.lo > eps:
+            self._float_step()
         while self.hi - self.lo > eps:
             self._cut((self.lo + self.hi) / 2)
+
+    def _float_step(self) -> None:
+        """Narrow (lo, hi] to the float step that holds the root, within
+        (lo, hi]: to (f, f+] for f the greatest float at most the root and
+        f+ the next float, or to (f-, f] when the root is the float f.  Any
+        float is then outside (lo, hi) and the width at most one ulp.  Does
+        nothing when no float lies strictly inside (lo, hi) already, or when
+        the interval reaches beyond the float range, where only bisection
+        narrows."""
+        lo, hi = self.lo, self.hi
+        if not (-_FLOAT_MAX < lo and hi < _FLOAT_MAX):
+            return
+        below_hi = float(hi)
+        if below_hi >= hi:
+            below_hi = math.nextafter(below_hi, -math.inf)
+        if below_hi <= lo:
+            return
+        coeffs = self.poly.coeffs
+        f = _float_at_most(coeffs, lo, hi)
+        if f > lo and not _sign_at(coeffs, *f.as_integer_ratio()):
+            lo, hi = max(lo, Fraction(math.nextafter(f, -math.inf))), Fraction(f)
+        else:
+            lo, hi = max(lo, Fraction(f)), min(hi, Fraction(math.nextafter(f, math.inf)))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def _cut(self, m: Fraction) -> None:
         """Move hi or lo to m in (lo, hi), keeping the root inside.  The root
@@ -173,13 +285,19 @@ class AlgebraicNumber:
 def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     """Exact trichotomy: -1, 0, or +1.
 
-    Disjoint intervals decide at once.  While they overlap, equality is
-    decided by a root of the square-free gcd in the overlap, before any
-    unbounded refinement, so the function always terminates.
+    Disjoint intervals decide at once.  Overlapping ones are first narrowed
+    to the float steps that hold the roots, so roots with different
+    greatest floats below them come apart without a gcd.  While they still
+    overlap, equality is decided by a root of the square-free gcd in the
+    overlap, before any unbounded refinement, so the function always
+    terminates.
 
     >>> compare(largest_real_root(KAPPA_POLY), xi())
     -1
     """
+    if a.lo < b.hi and b.lo < a.hi:
+        a._float_step()
+        b._float_step()
     gcd_chain = None
     while True:
         if a.hi <= b.lo:

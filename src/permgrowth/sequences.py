@@ -183,17 +183,24 @@ def gf_of_sequence(s: SumSequence) -> RationalFunction:
     return g
 
 
-def class_gf_of_sequence(s: SumSequence) -> RationalFunction:
-    """f = 1/(1 - g), the generating function of a sum closed class whose
-    sum indecomposable members are counted by s.  With A the prefix
-    polynomial and B/(1 - x^P) the tail term, it is built with one gcd as
-    f = (1 - x^P) / ((1 - x^P)(1 - A) - B), or 1/(1 - A) without a tail."""
+def class_gf_terms(s: SumSequence) -> tuple[IntPolynomial, IntPolynomial]:
+    """The numerator and denominator of f = 1/(1 - g), the generating
+    function of a sum closed class whose sum indecomposable members are
+    counted by s, before any common factor is cancelled.  With A the prefix
+    polynomial and B/(1 - x^P) the tail term, they are (1 - x^P) and
+    (1 - x^P)(1 - A) - B, or 1 and 1 - A without a tail; a common factor
+    can only divide 1 - x^P."""
     one_minus_a = IntPolynomial((1,) + tuple(-c for c in s.prefix))
     if not s.tail:
-        return RationalFunction(ONE, one_minus_a)
+        return ONE, one_minus_a
     cycle = IntPolynomial((1,) + (0,) * (len(s.tail) - 1) + (-1,))
     b = IntPolynomial((0,) * (len(s.prefix) + 1) + s.tail)
-    return RationalFunction(cycle, cycle * one_minus_a - b)
+    return cycle, cycle * one_minus_a - b
+
+
+def class_gf_of_sequence(s: SumSequence) -> RationalFunction:
+    """f = 1/(1 - g) of ``class_gf_terms``, reduced by one gcd."""
+    return RationalFunction(*class_gf_terms(s))
 
 
 def growth_rate_of_sequence(s: SumSequence) -> AlgebraicNumber:

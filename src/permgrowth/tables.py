@@ -36,35 +36,39 @@ checks the entries it returns.  Verification per instantiated row:
   the class generating function computed from the sequence, after both
   sides are stripped of factors x, x - 1, and x + 1 (those factors carry
   no root above 1, so they cannot affect a growth rate above 1);
-* the position of the greatest real root relative to xi.  Small rows are
-  compared directly by Sturm isolation.  The large parameterized families
-  instead carry a positivity certificate: stated = x^a * F + R where R has
-  nonnegative coefficients and F has no real root above xi, which forces
-  stated > 0 on [xi, infinity).  The base F is the staircase of a prefix
-  C_0, ..., C_b of the row's coefficients over its first b parameters.
+* the position of the greatest real root relative to xi.  The large
+  parameterized families carry a positivity certificate: stated = x^a * F
+  + R where R has nonnegative coefficients and F has no real root above
+  xi, which forces stated > 0 on [xi, infinity).  The base F is the
+  staircase of a prefix C_0, ..., C_b of the row's coefficients over its
+  first b parameters.  Any other row compares its ``growth`` with xi's,
+  and only equal ones are compared exactly.
 
-Each convergent family is checked exactly by ``algebraics.family_roots``:
-its roots move strictly toward the limit, the last within 1/20 of it.
+Each convergent family is checked exactly: its roots move strictly toward
+the limit, the last within 1/20 of it.  Its instances' ``growth`` values,
+strictly ordered toward the limit's, settle the first two; the gap test,
+and any family whose values tie, go to ``algebraics.family_roots``.
 
-An entry's ``growth`` fills the CSV column and decides no verdict.  It is
-the greatest float at most the row's growth rate, certified by exact sign
-tests, so equal rates give equal floats.  Rows are sorted by it; rows of
-equal float are ordered by their exact rates, and rows of exactly equal
-rate by the tie rule of ``_tie_key``.
+An entry's ``growth`` fills the CSV column and is the first key wherever
+rates are compared.  It is the greatest float at most the row's growth
+rate, certified by exact sign tests, so equal rates give equal floats and
+two different floats order their rates exactly.  Only equal floats need
+the exact comparison of ``algebraics.compare``: rows of equal float are
+sorted by their exact rates, and rows of exactly equal rate by the tie
+rule of ``_tie_key``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import NamedTuple, Optional
 
 from .algebraics import (
     KAPPA_POLY,
     XI_POLY,
-    _sign_at,
+    _float_at_most,
     compare,
     family_roots,
     largest_real_root,
@@ -74,7 +78,7 @@ from .algebraics import (
 from .polynomials import ONE, IntPolynomial
 from .sequences import (
     SumSequence,
-    class_gf_of_sequence,
+    class_gf_terms,
     growth_rate_of_sequence,
     is_legal,
 )
@@ -322,92 +326,56 @@ def _strip_trivial(p: IntPolynomial) -> IntPolynomial:
 
 
 def _computed_core(s: SumSequence) -> IntPolynomial:
-    den = class_gf_of_sequence(s).den
-    return _strip_trivial(den.reciprocal())
+    """The core of the class g.f.'s reciprocal denominator, taken from the
+    denominator before the gcd with its numerator is cancelled.  That gcd
+    divides 1 - x^P for the tail's period P; for P <= 2 its factors are
+    x - 1 and x + 1, which stripping removes anyway.  No table row has a
+    longer period; there a leftover cyclotomic factor would fail the
+    agreement, and the row would take the exact ``_exact_growth_matches``
+    path."""
+    return _strip_trivial(class_gf_terms(s)[1].reciprocal())
 
 
-def _newton(coeffs, x: float) -> float:
-    """An estimate of a root of the polynomial with ``coeffs``: float
-    Newton from ``x``, up to the first step that does not shrink, a zero
-    derivative or a value that is not finite."""
-    last = math.inf
-    while True:
-        p = dp = 0.0
-        for c in reversed(coeffs):
-            dp = dp * x + p
-            p = p * x + c
-        if not dp:
-            return x
-        step = p / dp
-        # false for a NaN or infinite step too
-        if not abs(step) < abs(last):
-            return x
-        x, last = x - step, step
+def _root_floor(p: IntPolynomial) -> float:
+    """The greatest float at most the greatest real root of ``p``."""
+    a = largest_real_root(p)
+    return _float_at_most(a.poly.coeffs, a.lo, a.hi)
 
 
-def _float_at_most(coeffs, lo: Fraction, hi: Fraction) -> float:
-    """The greatest float at most a, where a is the only root in (lo, hi]
-    of the polynomial with ``coeffs`` and, unless a is hi itself, the
-    polynomial takes the sign it has at hi on (a, hi] and the other sign on
-    (lo, a).
+@lru_cache(maxsize=None)
+def _limit_floor(limit: IntPolynomial) -> float:
+    """``_root_floor`` of xi's or a family limit's polynomial, found once."""
+    return _root_floor(limit)
 
-    The search keeps floats lo_f <= a < hi_f and starts from the floats
-    next to lo and hi outside (lo, hi], so every float strictly between
-    them lies in (lo, hi].  A float is dyadic, so the sign there is exact.
-    Two probes come first: the float that ``_newton`` reaches from hi_f,
-    then its neighbour on the side its sign points to.  A probe strictly
-    between lo_f and hi_f moves one of them as a bisection step would; any
-    other is skipped, so the estimate only chooses where to test and never
-    decides the answer.  When the probes land on adjacent floats, the
-    bisection that follows ends at once; otherwise it halves the gap, up to
-    rounding, until two adjacent floats remain: within about 2100 steps
-    even on the whole float range.
-    """
-    at_hi = _sign_at(coeffs, hi.numerator, hi.denominator)
-    lo_f, hi_f = float(lo), float(hi)
-    if lo_f > lo:
-        lo_f = math.nextafter(lo_f, -math.inf)
-    if hi_f <= hi:
-        hi_f = math.nextafter(hi_f, math.inf)
-    probe = _newton(coeffs, hi_f)
-    for _ in range(2):
-        if not lo_f < probe < hi_f:
-            break
-        if not at_hi or _sign_at(coeffs, *probe.as_integer_ratio()) != at_hi:
-            lo_f, probe = probe, math.nextafter(probe, math.inf)
-        else:
-            hi_f, probe = probe, math.nextafter(probe, -math.inf)
-    while True:
-        # the rounded midpoint lies strictly between lo_f and hi_f unless
-        # they are adjacent floats
-        mid = (lo_f + hi_f) / 2
-        if mid == lo_f or mid == hi_f:
-            return lo_f
-        if not at_hi or _sign_at(coeffs, *mid.as_integer_ratio()) != at_hi:
-            lo_f = mid
-        else:
-            hi_f = mid
+
+def _floor_order(a: float, b: float) -> int:
+    """The order of two rates by their floors a and b: exact when a != b,
+    since a rate lies below the float after its floor; 0 leaves it open."""
+    return (a > b) - (a < b)
 
 
 def _growth_float(stated: IntPolynomial, core: IntPolynomial, agrees: bool) -> float:
-    """The greatest float at most a row's growth rate r.
+    """The greatest float at most a row's growth rate r, the greatest real
+    root of ``stated``.
 
-    When the stated core agrees with the sequence and is not constant, the
-    search needs no Sturm chain.  With g the SI generating function, which
-    has nonnegative coefficients, 1 - g(1/x) increases strictly on x > 1,
-    and the class g.f.'s denominator is D * (1 - g), where D has its roots
-    on the unit circle.  So on (1, inf) the core has exactly one root, r,
-    simple, with the core negative on (1, r) and positive above it, up to
-    ``root_bound``.  Any other row, a constant core included (rate 1), uses
-    the isolated greatest root of its stated polynomial.  Either way the
-    search's Newton probe starts above r and lands within a float of it on
-    every row of tables 1-4 at index 6, so each row takes three sign tests:
-    at the interval's top, at the probe and at its neighbour.
+    When the stated core agrees with the sequence, is not constant and is
+    negative at 1, the search needs no Sturm chain.  With g the SI
+    generating function, which has nonnegative coefficients, 1 - g(1/x)
+    increases strictly on x > 1, and the class g.f.'s denominator is
+    D * (1 - g), where D has its roots on the unit circle.  So on (1, inf)
+    the core has at most one root, simple, and core(1) < 0 with a positive
+    leading coefficient puts one there: r, with the core negative on (1, r)
+    and positive above it, up to ``root_bound``.  Each part of that premise
+    is checked, so the float decides verdicts.  Any other row, a constant
+    core included (rate 1), uses the isolated greatest root of its stated
+    polynomial.  Either way the search's Newton probe starts above r and
+    lands within a float of it on every row of tables 1-4 at index 6, so
+    each row takes three sign tests: at the interval's top, at the probe
+    and at its neighbour.
     """
-    if agrees and core.degree >= 1:
+    if agrees and core.degree >= 1 and sum(core.coeffs) < 0:
         return _float_at_most(core.coeffs, Fraction(1), root_bound(core))
-    a = largest_real_root(stated)
-    return _float_at_most(a.poly.coeffs, a.lo, a.hi)
+    return _root_floor(stated)
 
 
 def _certified_below_xi(stated: IntPolynomial, base: IntPolynomial) -> bool:
@@ -482,7 +450,9 @@ def _check_position(e: TableEntry) -> bool:
     if e.position == "below" and e.row.base is not None:
         prefix = e.row._replace(coeffs=e.row.coeffs[: e.row.base + 1])
         return _certified_below_xi(e.polynomial, prefix.poly(dict(e.assignment)))
-    c = compare(largest_real_root(e.polynomial), xi())
+    c = _floor_order(e.growth, _limit_floor(XI_POLY))
+    if not c:
+        c = compare(largest_real_root(e.polynomial), xi())
     return c > 0 if e.position == "above" else c < 0
 
 
@@ -500,6 +470,7 @@ def verify_table(which: int, max_index: int = 6) -> dict:
     convergent family, monotone approach to the stated limit.  Returns a
     report dictionary with the checked rows and any failures listed."""
     rows = table_rows(which, max_index)
+    growths = {e.polynomial: e.growth for e in rows}
     problems: list[str] = []
     for e in rows:
         label = "%s %s" % (e.family, list(e.assignment))
@@ -517,7 +488,7 @@ def verify_table(which: int, max_index: int = 6) -> dict:
             problems.append("%s: root is not %s xi" % (label, e.position))
     for row in TABLES[which]:
         if row.limit is not None:
-            err = _check_convergence(row, max_index)
+            err = _check_convergence(row, max_index, growths)
             if err:
                 problems.append("%s: %s" % (row.family, err))
     return {
@@ -529,11 +500,15 @@ def verify_table(which: int, max_index: int = 6) -> dict:
     }
 
 
-def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
+def _check_convergence(row: RowTemplate, max_index: int,
+                       growths: dict) -> Optional[str]:
     """Roots along the first parameter (others at their least values) must
     approach the family limit strictly from the side ``row.position`` names
     and, once the values reach the last listed index, lie within 1/20 of
-    it, exactly by ``family_roots``."""
+    it.  ``growths`` maps stated polynomials to their floors.  Floors
+    strictly ordered toward the limit's, the last against the limit
+    included, pass a family with no gap test due; anything else is decided
+    exactly by ``family_roots``, which names the broken condition."""
     names = _parse(row.family)[2]
     listed = row.params[0]
     values = [v for v in listed if v <= max_index]
@@ -543,6 +518,12 @@ def _check_convergence(row: RowTemplate, max_index: int) -> Optional[str]:
     polys = [row.poly({**rest, names[0]: v}) for v in values]
     side = 1 if row.position == "above" else -1  # sign of root - limit
     gap = Fraction(1, 20) if values[-1] == listed[-1] else None
+    if gap is None:
+        floors = [growths.get(p) for p in polys] + [_limit_floor(row.limit)]
+        if None not in floors and all(
+            _floor_order(a, b) == side for a, b in zip(floors, floors[1:])
+        ):
+            return None
     return family_roots(polys, row.limit, side, gap)[1]
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from permgrowth.algebraics import (
     growth_polynomial,
     largest_real_root,
     root_bound,
+    sturm_sequence,
     xi,
 )
 from permgrowth.polynomials import ONE, IntPolynomial, RationalFunction
@@ -63,6 +65,27 @@ def test_refine_narrows_interval():
     x.refine(Fraction(1, 10**8))
     assert x.hi - x.lo <= Fraction(1, 10**8)
     assert x.lo < Fraction(2305224, 10**6) < x.hi + Fraction(1, 10**6)
+
+
+def test_refine_bisects_only_below_the_float_step(monkeypatch):
+    cuts = []
+    real_cut = AlgebraicNumber._cut
+
+    def counting_cut(self, m):
+        cuts.append(m)
+        real_cut(self, m)
+
+    monkeypatch.setattr(AlgebraicNumber, "_cut", counting_cut)
+    x = AlgebraicNumber(XI_POLY, sturm_sequence(XI_POLY), Fraction(2), Fraction(3))
+    x.refine(Fraction(1, 10**12))
+    assert cuts == []
+    assert x.hi - x.lo == Fraction(math.ulp(2.0))
+    assert x.approx(6) == "2.305224"
+    assert cuts == []
+    x.refine(Fraction(1, 2**60))
+    assert len(cuts) == 9
+    assert x.hi - x.lo <= Fraction(1, 2**60)
+    assert compare(x, xi()) == 0
 
 
 def test_approx_digits():
@@ -191,3 +214,21 @@ def test_nonpositive_eps_raises():
     for eps in (Fraction(0), Fraction(-1)):
         with pytest.raises(ValueError):
             xi().refine(eps)
+
+
+def test_roots_beyond_the_float_range():
+    # no float lies near 10^400: bisection alone narrows it
+    big = largest_real_root(IntPolynomial([-10**400, 1]))
+    big.refine(Fraction(1, 10**6))
+    assert big.hi - big.lo <= Fraction(1, 10**6)
+    assert big.approx(2) == "1" + "0" * 400 + ".00"
+    assert compare(big, xi()) == 1
+    assert compare(big, AlgebraicNumber.from_rational(Fraction(10**400))) == 0
+    # 10^-400 lies between the floats 0 and 2^-1074, but its polynomial's
+    # coefficient is beyond the float range, so the Newton probe gives up
+    tiny = largest_real_root(IntPolynomial([-1, 10**400]))
+    tiny.refine(Fraction(1, 10**500))
+    assert tiny.hi - tiny.lo <= Fraction(1, 10**500)
+    assert tiny.approx(6) == "0.000000"
+    assert compare(tiny, AlgebraicNumber.from_rational(Fraction(1, 10**400))) == 0
+    assert compare(tiny, AlgebraicNumber.from_rational(Fraction(0))) == 1

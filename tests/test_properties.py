@@ -1,5 +1,6 @@
 """Randomized invariants over permutations, sequences, and class specs."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations as all_tuples
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from permgrowth import insertion
-from permgrowth.algebraics import count_real_roots, largest_real_root, root_bound
+from permgrowth.algebraics import AlgebraicNumber, compare, count_real_roots, largest_real_root, root_bound
 from permgrowth.classes import (
     ClassSpec,
     census,
@@ -336,6 +337,91 @@ def test_largest_real_root_is_isolated(p):
     assert count_real_roots(p, r.hi, root_bound(p)) == 0
     top = max(sympy.real_roots(_to_sympy(p)))
     assert sympy.Rational(r.lo) < top <= sympy.Rational(r.hi)
+
+
+# integer polynomials of degree <= 12, coefficients in -50..50, with a real
+# root; each example gets its own copy of the greatest root, isolated
+root_polys = st.lists(st.integers(-50, 50), min_size=2, max_size=13).map(IntPolynomial).filter(
+    lambda p: p.degree >= 1 and count_real_roots(p, -root_bound(p), root_bound(p)) > 0
+)
+
+
+def _isolated(p):
+    r = largest_real_root(p)
+    return AlgebraicNumber(r.poly, r._chain, r.lo, r.hi)
+
+
+def _sign_of(coeffs, q):
+    value = sum(c * q**i for i, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
+def _bisected(coeffs, lo, hi, width):
+    """The root alone in (lo, hi] stays in (lo, hi] as plain Fraction
+    bisection by exact sign tests narrows it to ``width``."""
+    at_hi = _sign_of(coeffs, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if at_hi and _sign_of(coeffs, mid) != -at_hi:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _side_of(coeffs, lo, hi, q):
+    """The sign of a - q for the root a alone in (lo, hi]."""
+    if q <= lo:
+        return 1
+    if q > hi:
+        return -1
+    s, at_hi = _sign_of(coeffs, q), _sign_of(coeffs, hi)
+    return 0 if not s else (-1 if s == at_hi else 1)
+
+
+def _approx_by_bisection(coeffs, lo, hi, digits):
+    """|a| rounded half up to ``digits`` places, with a's sign in front."""
+    scale = 2 * 10**digits
+    lo, hi = _bisected(coeffs, lo, hi, Fraction(1, scale))
+    # the one odd multiple of 1/scale, a rounding boundary, that (lo, hi]
+    # can hold; the root rounds as any point between it and the root's side
+    x = hi
+    t = math.floor(hi * scale)
+    t -= 1 - t % 2
+    if Fraction(t, scale) > lo:
+        side = _side_of(coeffs, lo, hi, Fraction(t, scale))
+        x = Fraction(t, scale) if side == 0 else (hi if side > 0 else (lo + Fraction(t, scale)) / 2)
+    q = math.floor(abs(x) * 10**digits + Fraction(1, 2))
+    text = str(q).rjust(digits + 1, "0")
+    return ("-" if x < 0 and q else "") + text[:-digits] + "." + text[-digits:]
+
+
+@given(root_polys, st.builds(Fraction, st.integers(1, 1000), st.integers(1, 2**130)))
+@settings(deadline=None)
+def test_refine_keeps_one_root_within_eps(p, eps):
+    a = _isolated(p)
+    lo, hi = a.lo, a.hi
+    a.refine(eps)
+    assert a.hi - a.lo <= eps
+    assert lo <= a.lo < a.hi <= hi
+    assert count_real_roots(a.poly, a.lo, a.hi) == 1
+
+
+@given(root_polys, st.integers(0, 120), st.sampled_from([-1, 0, 1]))
+@settings(deadline=None)
+def test_compare_and_approx_match_bisection(p, k, side):
+    a = _isolated(p)
+    coeffs, lo, hi = a.poly.coeffs, a.lo, a.hi
+    assert a.approx(6) == _approx_by_bisection(coeffs, lo, hi, 6)
+    # a rational within 2^-k of the root, or within 2^-130 when side is 0:
+    # from about k = 52 on, it shares the root's greatest float below
+    near_lo, near_hi = _bisected(coeffs, lo, hi, Fraction(1, 2**130))
+    q = near_hi + side * Fraction(1, 2**k)
+    assert compare(_isolated(p), AlgebraicNumber.from_rational(q)) == _side_of(coeffs, lo, hi, q)
+    # the same root by another polynomial, and by the same one
+    other = largest_real_root(p * IntPolynomial([1, 0, 1]))
+    assert compare(_isolated(p), other) == 0
+    assert compare(a, _isolated(p)) == 0
 
 
 @given(st.lists(st.integers(-50, 50), max_size=12), st.integers(-50, 50).filter(bool))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from permgrowth import algebraics
 from permgrowth.algebraics import XI_POLY, AlgebraicNumber, compare, largest_real_root
 from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, is_legal
@@ -127,15 +128,29 @@ def test_exact_ties_follow_the_tie_rule(which, max_index, tied):
     assert len({e.growth for e in run}) == 1
 
 
+def _sign(coeffs, q: Fraction) -> int:
+    value = sum(c * q**i for i, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
 def _float_by_refinement(a: AlgebraicNumber) -> float:
-    """The greatest float at most ``a``, from its Sturm-isolated interval
-    refined below a quarter ulp of 1: no float spacing at or above 1/2 is
-    that small, so (lo, hi] holds at most one float."""
-    a.refine(Fraction(math.ulp(1.0)) / 4)
-    f = float(a.hi)
-    if f > a.hi:
+    """The greatest float at most ``a`` (at least 1/2), from its
+    Sturm-isolated interval bisected in ``Fraction`` values by exact sign
+    tests below a quarter ulp of 1: no float spacing at or above 1/2 is that
+    small, so (lo, hi] holds at most one float.  It leaves ``a`` as it is."""
+    coeffs, lo, hi = a.poly.coeffs, a.lo, a.hi
+    at_hi = _sign(coeffs, hi)
+    while hi - lo > Fraction(math.ulp(1.0)) / 4:
+        mid = (lo + hi) / 2
+        if at_hi and _sign(coeffs, mid) != -at_hi:
+            hi = mid
+        else:
+            lo = mid
+    f = float(hi)
+    if f > hi:
         f = math.nextafter(f, -math.inf)
-    if f > a.lo and compare(AlgebraicNumber.from_rational(Fraction(f)), a) > 0:
+    # the root is hi itself when hi is a root, or else the sign changes at it
+    if f > lo and at_hi and _sign(coeffs, Fraction(f)) == at_hi:
         f = math.nextafter(f, -math.inf)
     return f
 
@@ -166,7 +181,7 @@ def test_a_row_whose_core_disagrees_gets_its_stated_root(monkeypatch):
     # an isolating interval (q - 1, q] ends at the root itself
     for q in (Fraction(3), Fraction(1, 3), Fraction(-7, 5), Fraction(2**60 + 1, 2**60)):
         a = AlgebraicNumber.from_rational(q)
-        f = tables._float_at_most(a.poly.coeffs, a.lo, a.hi)
+        f = algebraics._float_at_most(a.poly.coeffs, a.lo, a.hi)
         assert f <= q < math.nextafter(f, math.inf), q
 
 
@@ -186,26 +201,25 @@ def test_equal_floats_are_ordered_by_exact_rate(monkeypatch):
 
 
 def test_float_search_is_bounded_and_exact(monkeypatch):
-    from permgrowth import tables
-
     calls = []
-    real_sign_at = tables._sign_at
+    real_sign_at = algebraics._sign_at
 
     def counting_sign_at(coeffs, n, d):
         calls.append((n, d))
         return real_sign_at(coeffs, n, d)
 
-    monkeypatch.setattr(tables, "_sign_at", counting_sign_at)
+    monkeypatch.setattr(algebraics, "_sign_at", counting_sign_at)
+    search = algebraics._float_at_most
     # 2x - 5 on (1, 8]: the root 5/2 is a float; x - 8 at its endpoint 8
-    assert tables._float_at_most([-5, 2], Fraction(1), Fraction(8)) == 2.5
+    assert search([-5, 2], Fraction(1), Fraction(8)) == 2.5
     assert len(calls) <= 1 + 64
     calls.clear()
-    assert tables._float_at_most([-8, 1], Fraction(1), Fraction(8)) == 8.0
+    assert search([-8, 1], Fraction(1), Fraction(8)) == 8.0
     assert len(calls) == 1
     # a root of 1 + 2^-60, between the floats 1 and 1 + 2^-52
     calls.clear()
     q = 1 + Fraction(1, 2**60)
-    assert tables._float_at_most([-q.numerator, q.denominator], Fraction(1), Fraction(2)) == 1.0
+    assert search([-q.numerator, q.denominator], Fraction(1), Fraction(2)) == 1.0
     assert len(calls) <= 1 + 64
 
 
@@ -241,17 +255,19 @@ def test_the_estimate_cannot_change_a_growth(estimate, monkeypatch):
         searches.append((lo_f, g))
         return g
 
+    # tables calls the search by this name for each row's growth
     monkeypatch.setattr(tables, "_float_at_most", recording_search)
     want = rows()
     monkeypatch.undo()
-    # the searches run in the same order again, one per row
+    # the searches run in the same order again, one per row; the roots that
+    # the exact sort compared are already narrowed, so no other search runs
     pending = iter(searches)
 
     def estimate_of(coeffs, hi_f):
         lo_f, g = next(pending)
         return _ESTIMATES[estimate](lo_f, hi_f, g)
 
-    monkeypatch.setattr(tables, "_newton", estimate_of)
+    monkeypatch.setattr(algebraics, "_newton", estimate_of)
     assert rows() == want
     assert next(pending, None) is None
 
@@ -259,22 +275,146 @@ def test_the_estimate_cannot_change_a_growth(estimate, monkeypatch):
 def test_every_growth_takes_three_sign_tests(monkeypatch):
     from permgrowth import tables
 
-    calls = []
-    real_sign_at, real_growth_float = tables._sign_at, tables._growth_float
+    # the sign tests of each row's float search; a Sturm isolation that a
+    # row shares with others through the root cache is not its search
+    calls, searching = [], []
+    real_sign_at, real_growth_float = algebraics._sign_at, tables._growth_float
+    real_search = tables._float_at_most
 
     def counting_sign_at(coeffs, n, d):
-        calls[-1] += 1
+        if searching:
+            calls[-1] += 1
         return real_sign_at(coeffs, n, d)
+
+    def counting_search(*args):
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
 
     def counting_growth_float(*args):
         calls.append(0)
         return real_growth_float(*args)
 
-    monkeypatch.setattr(tables, "_sign_at", counting_sign_at)
+    monkeypatch.setattr(algebraics, "_sign_at", counting_sign_at)
+    monkeypatch.setattr(tables, "_float_at_most", counting_search)
     monkeypatch.setattr(tables, "_growth_float", counting_growth_float)
     n_rows = sum(len(table_rows(which, 6)) for which in (1, 2, 3, 4))
     assert len(calls) == n_rows == 3503
     assert max(calls) <= 3, [k for k in calls if k > 3][:5]
+
+
+def test_floor_verdicts_match_the_exact_comparison():
+    # every row without a certificate, "at" rows included: a floor other
+    # than xi's decides the position, and it is the exact comparison's
+    from permgrowth import tables
+    from permgrowth.algebraics import xi
+
+    xi_floor = tables._limit_floor(XI_POLY)
+    decided = 0
+    for which in TABLES:
+        for e in table_rows(which, 6):
+            if e.row.base is not None:
+                continue
+            by_floor = tables._floor_order(e.growth, xi_floor)
+            if by_floor:
+                decided += 1
+                assert by_floor == compare(_rate(e), xi()), (which, str(e.sequence))
+    assert decided == 147
+
+
+def _xi_shifted(h: Fraction) -> IntPolynomial:
+    """The xi polynomial Q(x - h) times a power of h's denominator, an
+    integer polynomial whose greatest real root is xi + h."""
+    d = h.denominator
+    t = IntPolynomial([-h.numerator, d])  # d (x - h)
+    out = IntPolynomial([])
+    for i, q in enumerate(XI_POLY.coeffs):
+        term = IntPolynomial([q * d ** (XI_POLY.degree - i)])
+        for _ in range(i):
+            term = term * t
+        out = out + term
+    return out
+
+
+def test_rates_on_xi_floor_are_placed_exactly(monkeypatch):
+    from permgrowth import tables
+
+    # rates xi + 2^-60 and xi - 2^-60 share xi's floor; the sequence check
+    # is waived, so only the position decides
+    h = Fraction(1, 2**60)
+    monkeypatch.setattr(tables, "_exact_growth_matches", lambda s, stated: True)
+    monkeypatch.setattr(tables, "TABLES", {1: (
+        tables._fixed("1,1,2", _xi_shifted(h), "above"),
+        tables._fixed("1,1,3", _xi_shifted(-h), "above"),
+    )})
+    result = verify_table(1)
+    assert [e.growth for e in result["rows"]] == [tables._limit_floor(XI_POLY)] * 2
+    assert [str(e.sequence) for e in result["rows"]] == ["1,1,3", "1,1,2"]
+    assert result["problems"] == ["1,1,3 []: root is not above xi"]
+
+
+def test_a_family_on_one_floor_gets_family_roots_verdict(monkeypatch):
+    from permgrowth import tables
+
+    # roots of 2^70 Q x^i + 1 rise to xi, all within 2^-60 of it; at index
+    # 2 of 0..3 no gap test is due
+    verdicts = []
+    real_family_roots = tables.family_roots
+
+    def recording_family_roots(*args):
+        verdicts.append(real_family_roots(*args)[1])
+        return [], verdicts[-1]
+
+    monkeypatch.setattr(tables, "family_roots", recording_family_roots)
+    for position, want in (
+        ("below", None),
+        ("above", "family roots do not move strictly toward the limit"),
+    ):
+        row = tables.RowTemplate("1,1,2^i", ((0, 1, 2, 3),),
+                                 (XI_POLY * IntPolynomial([2**70]), IntPolynomial([1])),
+                                 position, limit=XI_POLY)
+        polys = [row.poly({"i": i}) for i in range(3)]
+        growths = {p: tables._root_floor(p) for p in polys}
+        assert set(growths.values()) == {tables._limit_floor(XI_POLY)}
+        verdicts.clear()
+        assert tables._check_convergence(row, 2, growths) == want
+        assert verdicts == [want]
+    # floors that order the roots pass the family without family_roots
+    verdicts.clear()
+    assert verify_table(3, 5)["passed"]
+    assert verdicts == []
+
+
+def test_a_core_positive_at_one_takes_the_sturm_branch():
+    from permgrowth import tables
+
+    # x + 2 has no root above 1; its greatest real root is -2
+    x_plus_2 = IntPolynomial([2, 1])
+    assert tables._growth_float(x_plus_2, x_plus_2, True) == -2.0
+
+
+def test_verify_table_does_no_bisection_and_few_gcds(monkeypatch):
+    from permgrowth import tables
+    from permgrowth.algebraics import AlgebraicNumber
+
+    # work counts, not timings, from empty root caches
+    counts = {"_cut": 0, "sturm_sequence": 0, "poly_gcd": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("sturm_sequence", "poly_gcd"):
+        monkeypatch.setattr(algebraics, name, counting(name, getattr(algebraics, name)))
+    monkeypatch.setattr(AlgebraicNumber, "_cut", counting("_cut", AlgebraicNumber._cut))
+    largest_real_root.cache_clear()
+    tables._limit_floor.cache_clear()
+    assert verify_table(4, 6)["passed"]
+    assert counts == {"_cut": 0, "sturm_sequence": 60, "poly_gcd": 3}
 
 
 def test_verify_table_report_shape():
