@@ -73,20 +73,31 @@ def _classes_with_prefix(prefix: tuple[int, ...]) -> list[ClassSpec]:
     length n from 4 on, it excludes every choice of sum indecomposable
     members that leaves exactly ``prefix[n-1]`` of them.
 
+    A child class inherits its parent's level: its members of length n are
+    the parent's less the excluded set D, and ``next_level`` gives length
+    n + 1, which no basis element reaches, so only Av(r) takes a census.
+    D is an antichain longer than the parent's basis B, so B ∪ D needs no
+    minimisation.
+
     >>> len(_classes_with_prefix((1, 1, 2, 3)))
     30
     """
-    from .classes import census, spec_from_strs
+    from .classes import ClassSpec, census, spec_from_strs
+    from .perms import Permutation, is_sum_indecomposable, next_level
 
-    level = [spec_from_strs(r) for r in _SI3]
+    # each class with its parent's members of length n - 1 and its D; the
+    # classes of the last length never build their own set
+    level = [(spec, census(spec, 3).levels[3], ()) for spec in map(spec_from_strs, _SI3)]
     for n in range(4, len(prefix) + 1):
         deeper = []
-        for spec in level:
-            si = sorted(census(spec, n).si_members(n))
+        for spec, members, dropped in level:
+            members = set(next_level(members.difference(dropped)))
+            si = sorted(Permutation._trusted(t) for t in members if is_sum_indecomposable(t))
             if len(si) >= prefix[n - 1]:
-                deeper.extend(spec.extended(drop) for drop in combinations(si, len(si) - prefix[n - 1]))
+                deeper.extend((ClassSpec._of_antichain(spec.basis.union(drop)), members, drop)
+                              for drop in combinations(si, len(si) - prefix[n - 1]))
         level = deeper
-    return sorted(level, key=_basis_key)
+    return sorted((spec for spec, _, _ in level), key=_basis_key)
 
 
 def _si_gf_per_orbit() -> Callable[[ClassSpec], Any]:
@@ -189,20 +200,21 @@ def run_search_112344():
     """Examine every class with basis of length at most 6 whose sum
     indecomposable counts begin 1,1,2,3,4,4 and report which ever reach a
     count of 5.  Each class's first six counts on its orbit's g.f. must be
-    the ones the enumeration's censuses fixed, which checks the census
-    against the automaton."""
+    the ones the enumeration fixed on the levels each class inherits from
+    its parent, which checks that census against the automaton."""
     from .classes import ClassSpec, spec_from_strs
     from .insertion import eventual_period
 
     gf = _si_gf_per_orbit()
     prefix = (1, 1, 2, 3, 4, 4)
     specs = _classes_with_prefix(prefix)
+    periods: dict = {}  # one eventual period per distinct g.f.
     with_five, five_specs = [], []
     for spec in specs:
         g = gf(spec)
         if tuple(g.series(len(prefix))[1:]) != prefix:
             raise AssertionError("enumeration produced a wrong prefix")
-        counts, period = eventual_period(g)
+        counts, period = periods.get(g) or periods.setdefault(g, eventual_period(g))
         if 5 in counts[1:]:
             five_specs.append(spec)
             with_five.append(

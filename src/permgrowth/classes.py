@@ -66,6 +66,14 @@ class ClassSpec:
     def extended(self, extra: Iterable[Permutation]) -> "ClassSpec":
         return ClassSpec(list(self.basis) + list(extra))
 
+    @classmethod
+    def _of_antichain(cls, basis: Iterable[Permutation]) -> "ClassSpec":
+        """Av(basis) for a basis known to be an antichain, without the
+        pairwise minimisation; only for bases built so."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "basis", frozenset(basis))
+        return spec
+
 
 def parse_basis_text(text: str) -> ClassSpec:
     perms = []
@@ -85,6 +93,11 @@ def member(spec: ClassSpec, p: Permutation) -> bool:
     return all(not contains(b, p) for b in spec.basis)
 
 
+# per length n, the translation table v -> n + 1 - v of the entry strings,
+# built when first needed
+_RC_TABLES: dict[int, bytes] = {}
+
+
 def orbit_key(spec: ClassSpec) -> tuple[Permutation, ...]:
     """The least sorted basis among B, B⁻¹, rc(B) and rc(B⁻¹),
     where B is the basis of ``spec`` and rc is reverse-complement.  The four
@@ -99,7 +112,9 @@ def orbit_key(spec: ClassSpec) -> tuple[Permutation, ...]:
     (Permutation('1 3 2'),)
     """
     def rc(p: Permutation) -> Permutation:
-        return Permutation._trusted(len(p) + 1 - v for v in reversed(p))
+        n = len(p)
+        table = _RC_TABLES.get(n) or _RC_TABLES.setdefault(n, bytes((n + 1 - v) & 255 for v in range(256)))
+        return Permutation._trusted(p[::-1].translate(table))
 
     basis = spec.basis
     inverses = [b.inverse() for b in basis]

@@ -66,6 +66,9 @@ class IELetter(_Letter):
 
 def encode(p: Permutation) -> list[IELetter]:
     """Insertion encoding of ``p``: one letter per value, in value order.
+    No campaign calls it; it stays as the tests' independent oracle for
+    the automaton, whose accepted words must be the encodings of exactly
+    the members (``test_automaton_accepts_exactly_the_encodings_of_members``).
 
     >>> [str(x) for x in encode(Permutation((2, 3, 1)))]
     ['l_1', 'r_1', 'f_1']
@@ -104,7 +107,9 @@ _SLOT = object()
 
 def decode(letters: Iterable[IELetter]) -> Permutation:
     """Inverse of :func:`encode`; raises if the word is not a valid
-    encoding (bad slot index or leftover slots)."""
+    encoding (bad slot index or leftover slots).  No campaign calls it; the
+    tests' round trip ``decode(encode(p)) == p`` checks :func:`encode` with
+    it (``test_insertion``, ``test_properties``, ``test_acceptance``)."""
     items: list = [_SLOT]
     v = 0
     for letter in letters:
@@ -135,9 +140,10 @@ def decode(letters: Iterable[IELetter]) -> Permutation:
 # automaton construction
 
 
-def _next_entry_tables(basis: Permutation) -> tuple[int, ...]:
+def _next_entry_tables(basis: Permutation) -> bytes:
     """For each remaining-count k, the rank (in position order) of the next
-    entry to match, which is always the least-valued remaining one."""
+    entry to match, which is always the least-valued remaining one.  It is
+    bytes, whose hash is computed once, as every step cache key holds it."""
     L = len(basis)
     pos_of_value = {v: i for i, v in enumerate(basis)}
     table = [0] * (L + 1)
@@ -145,16 +151,18 @@ def _next_entry_tables(basis: Permutation) -> tuple[int, ...]:
         m = L - k  # values 1..m already matched
         remaining = sorted(pos_of_value[v] for v in range(m + 1, L + 1))
         table[k] = remaining.index(pos_of_value[m + 1])
-    return tuple(table)
+    return bytes(table)
 
 
-def _reindex(window: tuple[int, int], action: str, j: int) -> tuple[int, int]:
-    lo, hi = window
-    if action == "f":
-        return (lo if lo <= j else lo - 1, hi if hi < j else hi - 1)
-    if action == "m":
-        return (lo if lo <= j else lo + 1, hi if hi < j else hi + 1)
-    return window
+def _reindex(sig: tuple[tuple[int, int], ...], action: str, j: int) -> tuple[tuple[int, int], ...]:
+    """The windows of ``sig`` in the slot numbering after the letter
+    ``action`` at slot j: ``f`` closes slot j, so the slots right of it move
+    down one, and ``m`` splits it in two, so they move up one; ``l`` and
+    ``r`` keep the numbering.  A window of slot j alone empties under ``f``."""
+    d = _SLOT_DELTA[action]
+    if not d:
+        return sig
+    return tuple([(lo + d if lo > j else lo, hi + d if hi >= j else hi) for lo, hi in sig])
 
 
 def _feasible(sig: tuple[tuple[int, int], ...]) -> bool:
@@ -169,16 +177,16 @@ def _feasible(sig: tuple[tuple[int, int], ...]) -> bool:
 
 
 def _dominance_prune(sigs: set) -> frozenset:
+    if len(sigs) < 2:
+        return frozenset(sigs)
     kept = []
     for a in sigs:
-        dominated = False
         for b in sigs:
-            if b is a or len(b) != len(a) or b == a:
-                continue
-            if all(bl <= al and bh >= ah for (bl, bh), (al, ah) in zip(b, a)):
-                dominated = True
-                break
-        if not dominated:
+            if b is not a and len(b) == len(a) and all(
+                bl <= al and bh >= ah for (bl, bh), (al, ah) in zip(b, a)
+            ):
+                break  # a is dominated
+        else:
             kept.append(a)
     return frozenset(kept)
 
@@ -217,7 +225,11 @@ def _step_sigset(sigs, table, action: str, j: int):
 
     Every window lies in 1..s, the slot count before the letter, and
     ``_reindex`` maps each window in 1..s that stays non-empty into
-    1..s_new, the count after it; so no window needs clamping to s_new."""
+    1..s_new, the count after it; so no window needs clamping to s_new.
+    ``_feasible`` fails on an empty window, so it alone screens them.  A
+    signature enters a set only when feasible, and only ``f`` can make a
+    renumbered one infeasible: ``l`` and ``r`` keep the windows, and ``m``
+    maps a non-decreasing choice of slots to one again, slot j to slot j."""
     out = set()
     # v sits between these slot indices of the new configuration
     if action in ("f", "r"):
@@ -225,36 +237,26 @@ def _step_sigset(sigs, table, action: str, j: int):
     else:  # l, m
         j_left, j_right = j, j + 1
     for sig in sigs:
-        ns = tuple(_reindex(w, action, j) for w in sig)
-        if all(lo <= hi for lo, hi in ns) and _feasible(ns):
+        ns = _reindex(sig, action, j)
+        if action != "f" or _feasible(ns):
             out.add(ns)
         t = table[len(sig)]
         lo, hi = sig[t]
         if lo <= j <= hi:
-            matched = []
-            alive = True
-            for i, w in enumerate(sig):
-                if i == t:
-                    continue
-                wlo, whi = _reindex(w, action, j)
-                if i < t:
-                    whi = min(whi, j_left)
-                else:
-                    wlo = max(wlo, j_right)
-                if wlo > whi:
-                    alive = False
-                    break
-                matched.append((wlo, whi))
-            if alive:
-                if len(matched) <= 1:
-                    # complete, or the entry left is b's largest value and
-                    # its window a non-empty slot interval: every accepted
-                    # completion puts a value larger than all decided ones
-                    # there
-                    return _DEAD
-                msig = tuple(matched)
-                if _feasible(msig):
-                    out.add(msig)
+            # v matches entry t: the entries left of it go left of v, the
+            # entries right of it right of v
+            matched = tuple(
+                [(wlo, whi if whi < j_left else j_left) for wlo, whi in ns[:t]]
+                + [(wlo if wlo > j_right else j_right, whi) for wlo, whi in ns[t + 1:]]
+            )
+            if len(matched) > 1:
+                if _feasible(matched):
+                    out.add(matched)
+            elif all(wlo <= whi for wlo, whi in matched):
+                # complete, or the entry left is b's largest value and its
+                # window a non-empty slot interval: every accepted
+                # completion puts a value larger than all decided ones there
+                return _DEAD
     return _dominance_prune(out)
 
 
@@ -289,6 +291,8 @@ class Automaton:
 
 # the most slots a build may open; no campaign class needs more than 3
 SLOT_CAP = 8
+# each action's letter names for slots 1..SLOT_CAP, the transition keys
+_LETTER_NAMES = {a: [str(IELetter(a, j)) for j in range(1, SLOT_CAP + 1)] for a in ACTIONS}
 
 
 def build_automaton(spec: ClassSpec) -> Automaton:
@@ -306,16 +310,17 @@ def build_automaton(spec: ClassSpec) -> Automaton:
 
     def step(state, action: str, j: int):
         s, sets = state
-        s_new = s + _SLOT_DELTA[action]
         new_sets = []
         for sigs, table in zip(sets, tables):
             stepped = _cached_step(sigs, table, action, j)
             if stepped is _DEAD:
                 return None
             new_sets.append(stepped)
-        return (s_new, tuple(new_sets))
+        return (s + _SLOT_DELTA[action], tuple(new_sets))
 
     live_cache: dict = {}
+    # per state, the successors under f_1, f_2, ... that ``live`` took
+    fills: dict = {}
 
     def live(state) -> bool:
         """A state can reach acceptance iff some way of filling each open
@@ -329,10 +334,13 @@ def build_automaton(spec: ClassSpec) -> Automaton:
             return True
         if state not in live_cache:
             live_cache[state] = False  # placeholder; recursion cannot cycle
-            live_cache[state] = any(
-                (t := step(state, "f", j)) is not None and live(t)
-                for j in range(1, state[0] + 1)
-            )
+            taken = fills[state] = []
+            for j in range(1, state[0] + 1):
+                t = step(state, "f", j)
+                taken.append(t)
+                if t is not None and live(t):
+                    live_cache[state] = True
+                    break
         return live_cache[state]
 
     initial = (1, tuple(frozenset({((1, 1),) * len(b)}) for b in basis))
@@ -343,20 +351,31 @@ def build_automaton(spec: ClassSpec) -> Automaton:
         state = queue.pop()
         s = state[0]
         here = transitions[ids[state]]
+        taken = fills.get(state, ())
         for action in ACTIONS:
+            names = _LETTER_NAMES[action]
             for j in range(1, s + 1):
-                target = step(state, action, j)
-                if target is None or not live(target):
+                if action == "f" and j <= len(taken):
+                    target = taken[j - 1]
+                else:
+                    target = step(state, action, j)
+                if target is None:
                     continue
-                if target[0] > SLOT_CAP:
-                    raise SlotBoundExceeded(
-                        "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
-                    )
-                if target not in ids:
-                    ids[target] = len(ids)
+                k = ids.get(target)
+                if k is None:
+                    # every state with an id but the initial one was live
+                    # when it got it; a dead initial state leaves a lone
+                    # state after minimisation whatever enters it
+                    if not live(target):
+                        continue
+                    if target[0] > SLOT_CAP:
+                        raise SlotBoundExceeded(
+                            "the insertion encoding exceeds the %d-slot limit" % SLOT_CAP
+                        )
+                    k = ids[target] = len(ids)
                     transitions.append({})
                     queue.append(target)
-                here[str(IELetter(action, j))] = ids[target]
+                here[names[j - 1] if j <= len(names) else str(IELetter(action, j))] = k
     accepts = frozenset(i for st, i in ids.items() if st[0] == 0)
     return _minimize(Automaton(0, accepts, transitions))
 

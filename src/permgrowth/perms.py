@@ -93,10 +93,13 @@ class Permutation(bytes):
         inv = [0] * len(self)
         for i, v in enumerate(self):
             inv[v - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def delete(self, index: int) -> "Permutation":
-        """Pattern left after removing the entry at 0-based ``index``."""
+        """Pattern left after removing the entry at 0-based ``index``.  No
+        campaign calls it; the tests use it as a deletion apart from the
+        level steps' inlined one: ``test_deletion_yields_patterns`` checks
+        ``contains`` on it, and ``test_acceptance`` closes Sub(p) under it."""
         if not 0 <= index < len(self):
             raise IndexError("index must be in 0..n-1")
         return Permutation._trusted(_delete(self, index))
@@ -112,7 +115,10 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def standardize(values: Sequence[int]) -> Permutation:
-    """The pattern (order-isomorphism class) of a sequence of distinct ints."""
+    """The pattern (order-isomorphism class) of a sequence of distinct ints.
+    No campaign calls it; it stays as the tests' independent oracle for
+    ``contains`` and ``direct_sum`` (brute force over subsequences in
+    ``test_properties`` and ``test_perms``)."""
     ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
     return Permutation(ranks[v] for v in values)
 
@@ -526,7 +532,10 @@ ALTERNATION_KINDS = ("wedge1", "wedge2", "parallel1", "parallel2")
 
 def vertical_alternation(n: int, kind: str) -> Permutation:
     """Length-n prefix pattern of one of the four infinite vertical
-    alternation families (two wedge shapes, two parallel shapes).
+    alternation families (two wedge shapes, two parallel shapes).  No
+    campaign calls it; it stays as the probe that
+    ``test_split_rule_matches_the_alternation_probe`` checks
+    ``classes.embeds_in_alternation`` against.
 
     >>> str(vertical_alternation(10, "wedge1"))
     '1 10 2 9 3 8 4 7 5 6'

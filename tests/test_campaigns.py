@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from permgrowth import campaigns, classes, insertion
 from permgrowth.algebraics import XI_POLY, family_roots, growth_polynomial, largest_real_root, xi
 from permgrowth.campaigns import run_campaign
-from permgrowth.classes import orbit_key, spec_from_strs
+from permgrowth.classes import ClassSpec, census, orbit_key, spec_from_strs
 from permgrowth.insertion import class_gf
 from permgrowth.polynomials import IntPolynomial, RationalFunction
 from permgrowth.sequences import SumSequence, growth_rate_of_sequence, realize
@@ -131,19 +132,53 @@ def test_search_1123_has_no_fallback_for_a_class_without_gf(monkeypatch):
 
 
 def test_search_112344_builds_one_gf_per_orbit(monkeypatch):
-    # the only censuses are the enumeration's, and each of the 51 orbits of
-    # the 173 classes under inverse and reverse-complement gets one g.f.
+    # the only censuses are the enumeration's three, of Av(r) to length 3,
+    # as every other class inherits its parent's level; each of the 51
+    # orbits of the 173 classes under inverse and reverse-complement gets
+    # one g.f., and each of the 6 distinct g.f.s one eventual period
     calls = {}
     _counting(monkeypatch, classes, "census", calls)
     _counting(monkeypatch, insertion, "class_gf", calls)
+    _counting(monkeypatch, insertion, "eventual_period", calls)
     report = run_campaign("search-112344")
     assert report.passed
     assert report.artifacts["classes_examined"] == 173
-    assert calls == {"census": 76, "class_gf": 51}
+    assert calls == {"census": 3, "class_gf": 51, "eventual_period": 6}
     # the two classes that reach 5 are inverses, so they share one orbit
     a, b = (spec_from_strs(*e["basis"]) for e in report.artifacts["classes_with_five"])
     assert spec_from_strs(*(str(p.inverse()) for p in a.basis)) == b
     assert orbit_key(a) == orbit_key(b)
+
+
+def _classes_with_prefix_from_scratch(prefix):
+    # the enumeration with a census from length 0 for every class and a
+    # minimised basis for every extension
+    level = [spec_from_strs(r) for r in ("2 3 1", "3 1 2", "3 2 1")]
+    for n in range(4, len(prefix) + 1):
+        deeper = []
+        for spec in level:
+            si = census(spec, n).si_members(n)
+            if len(si) >= prefix[n - 1]:
+                for drop in combinations(si, len(si) - prefix[n - 1]):
+                    child = spec.extended(drop)
+                    assert ClassSpec._of_antichain(spec.basis.union(drop)).basis == child.basis
+                    deeper.append(child)
+        level = deeper
+    return sorted(level, key=lambda spec: [str(p) for p in spec.sorted_basis()])
+
+
+@pytest.mark.parametrize("prefix,count", [
+    ((1, 1, 2, 3), 30),
+    ((1, 1, 2, 3, 4), 43),
+    ((1, 1, 2, 3, 4, 4), 173),
+])
+def test_classes_with_prefix_match_a_from_scratch_enumeration(prefix, count):
+    # each class inherits its parent's level and takes its basis unminimised
+    got = campaigns._classes_with_prefix(prefix)
+    assert len(got) == count
+    assert [spec.basis for spec in got] == [spec.basis for spec in _classes_with_prefix_from_scratch(prefix)]
+    for spec in got:
+        assert ClassSpec(spec.basis).basis == spec.basis  # an antichain
 
 
 def test_search_112344_checks_the_prefix_on_the_gf(monkeypatch):

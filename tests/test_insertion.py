@@ -223,13 +223,17 @@ def test_search_112344_classes_share_one_si_gf_per_orbit():
     assert len(first) == 51
 
 
-def test_automaton_deterministic_and_minimal_smoke():
+def test_automaton_deterministic_and_minimal_smoke(monkeypatch):
     spec = spec_from_strs("3 2 1", "3 4 1 2", "4 1 2 3")
     aut = build_automaton(spec)
     # rebuilt automata agree state-for-state (construction is canonical)
     aut2 = build_automaton(spec)
     assert aut.num_states == aut2.num_states
     assert aut.transitions == aut2.transitions
+    # a slot past the prebuilt letter names, as under a raised SLOT_CAP,
+    # is named by IELetter itself
+    monkeypatch.setattr(insertion, "_LETTER_NAMES", {a: [] for a in insertion.ACTIONS})
+    assert build_automaton(spec).transitions == aut.transitions
     # automaton word counts equal the class counts (the empty permutation
     # is accounted for in the generating function, not the automaton)
     assert aut.count_words(8)[1:] == census(spec, 8).member_counts[1:]
@@ -274,6 +278,6 @@ def test_reindex_keeps_windows_within_the_new_slot_count():
             for j in range(1, s + 1):
                 for lo in range(1, s + 1):
                     for hi in range(lo, s + 1):
-                        new_lo, new_hi = insertion._reindex((lo, hi), action, j)
+                        ((new_lo, new_hi),) = insertion._reindex(((lo, hi),), action, j)
                         if new_lo <= new_hi:
                             assert 1 <= new_lo and new_hi <= s + delta, (s, action, j, lo, hi)

@@ -280,6 +280,88 @@ def test_class_gf_matches_census_on_random_regular_classes(basis):
         assert class_gf_of_sequence(seq) == f
 
 
+def _reference_step(sigs, table, action, j):
+    # the element step window by window: each window renumbered alone and
+    # again in the matched branch, empty windows screened apart from
+    # feasibility, and a pairwise dominance prune
+    def reindex(w):
+        lo, hi = w
+        if action == "f":
+            return (lo if lo <= j else lo - 1, hi if hi < j else hi - 1)
+        if action == "m":
+            return (lo if lo <= j else lo + 1, hi if hi < j else hi + 1)
+        return w
+
+    def feasible(sig):
+        cur = 1
+        for lo, hi in sig:
+            cur = max(cur, lo)
+            if cur > hi:
+                return False
+        return True
+
+    j_left, j_right = (j - 1, j) if action in ("f", "r") else (j, j + 1)
+    out = set()
+    for sig in sigs:
+        ns = tuple(map(reindex, sig))
+        if all(lo <= hi for lo, hi in ns) and feasible(ns):
+            out.add(ns)
+        t = table[len(sig)]
+        if sig[t][0] <= j <= sig[t][1]:
+            matched = []
+            for i, w in enumerate(sig):
+                if i == t:
+                    continue
+                wlo, whi = reindex(w)
+                if i < t:
+                    whi = min(whi, j_left)
+                else:
+                    wlo = max(wlo, j_right)
+                if wlo > whi:
+                    break
+                matched.append((wlo, whi))
+            else:
+                if len(matched) <= 1:
+                    return insertion._DEAD
+                if feasible(matched):
+                    out.add(tuple(matched))
+    return frozenset(
+        a for a in out
+        if not any(
+            b != a and len(b) == len(a)
+            and all(bl <= al and bh >= ah for (bl, bh), (al, ah) in zip(b, a))
+            for b in out
+        )
+    )
+
+
+# a basis element of length 3 to 6 and a letter walk from its initial
+# signature set; a letter names its slot modulo the slot count
+@given(
+    st.integers(3, 6).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.lists(st.tuples(st.sampled_from(insertion.ACTIONS), st.integers(1, insertion.SLOT_CAP)), max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_element_step_matches_a_window_by_window_reference(b, walk):
+    table = insertion._next_entry_tables(Permutation(b))
+    sigs, s = frozenset({((1, 1),) * len(b)}), 1
+    for letter in walk + [None]:
+        for action in insertion.ACTIONS:
+            for j in range(1, s + 1):
+                got = insertion._step_sigset(sigs, table, action, j)
+                want = _reference_step(sigs, table, action, j)
+                assert got is want if want is insertion._DEAD else got == want, (sigs, action, j)
+        if letter is None:
+            break
+        action, k = letter
+        if action == "m" and s == insertion.SLOT_CAP:
+            continue
+        sigs = _reference_step(sigs, table, action, 1 + (k - 1) % s)
+        s += insertion._SLOT_DELTA[action]
+        if sigs is insertion._DEAD or s == 0:
+            break
+
+
 # random integer polynomials of degree <= 8, coefficients in -20..20; the
 # extra zeros give degree gaps in remainder sequences, where a pseudo-remainder
 # scaled by a negative leading coefficient flips the sign of a Sturm member
