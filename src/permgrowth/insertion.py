@@ -277,14 +277,18 @@ class Automaton:
 
     def count_words(self, n: int) -> list[int]:
         """Accepted-word counts by length 0..n, by dynamic programming."""
+        targets = [tuple(t.values()) for t in self.transitions]
         counts = []
-        dist = {self.initial: 1}
+        # dist[q]: the number of words of the current length leading to q
+        dist = [0] * len(targets)
+        dist[self.initial] = 1
         for _ in range(n + 1):
-            counts.append(sum(c for q, c in dist.items() if q in self.accepts))
-            nxt: dict[int, int] = {}
-            for q, c in dist.items():
-                for target in self.transitions[q].values():
-                    nxt[target] = nxt.get(target, 0) + c
+            counts.append(sum(dist[q] for q in self.accepts))
+            nxt = [0] * len(targets)
+            for q, c in enumerate(dist):
+                if c:
+                    for target in targets[q]:
+                        nxt[target] += c
             dist = nxt
         return counts
 

@@ -26,6 +26,13 @@ the two that make a sum, and gives each new string once with the count of
 its children in the level and an order-free digest of them; reconstruction
 groups by the digest, K^(m) filters on the count, and the basis search and
 K^(m) keep the candidates that pass ``si_children_within``.
+
+Insertion and deletion are each one ``bytes.translate``.  To insert the
+value v at a position, the member gets a hole byte 0 there once, and the
+table ``_SLOT[v]`` maps the hole to v and raises the entries >= v by one.
+To delete the entry of value v, ``translate`` drops the byte v and
+``_DOWN[v]`` lowers the larger entries by one; a value occurs once in an
+entry string, so the byte dropped is that entry's.
 """
 
 from __future__ import annotations
@@ -142,16 +149,24 @@ def is_sum_indecomposable(p: Sequence[int]) -> bool:
 
 
 # translation tables of the entry strings: _UP[v] raises the entries >= v
-# by one, _DOWN[v] lowers the entries > v by one
+# by one, _DOWN[v] lowers the entries > v by one, and _SLOT[v] is _UP[v]
+# that also fills the hole byte 0 with v; _BYTE[v] is the string (v,)
 _BYTES = bytes(range(256))
 _UP = [_BYTES[:v] + _BYTES[v + 1:] + b"\0" for v in range(256)]
 _DOWN = [_BYTES[:v + 1] + _BYTES[v:255] for v in range(256)]
+_BYTE = [_BYTES[v:v + 1] for v in range(256)]
+_SLOT = [_BYTE[v] + _UP[v][1:] for v in range(256)]
 _MASK64 = (1 << 64) - 1
 
 
 def _delete(t: bytes, index: int) -> bytes:
-    """The entry string left after removing position ``index`` of ``t``."""
-    return (t[:index] + t[index + 1:]).translate(_DOWN[t[index]])
+    """The entry string left after removing position ``index`` of ``t``.
+
+    It drops the byte of that entry's value v and lowers the larger
+    entries, in one ``translate``: each value occurs once in an entry
+    string, so dropping every byte v removes exactly that entry."""
+    v = t[index]
+    return t.translate(_DOWN[v], _BYTE[v])
 
 
 def si_children_within(t: bytes, level: set[bytes]) -> bool:
@@ -164,8 +179,8 @@ def si_children_within(t: bytes, level: set[bytes]) -> bool:
     >>> si_children_within(bytes((2, 4, 1, 3)), {bytes((2, 3, 1))})
     False
     """
-    for i, v in enumerate(t):
-        c = (t[:i] + t[i + 1:]).translate(_DOWN[v])
+    for v in t:
+        c = t.translate(_DOWN[v], _BYTE[v])
         if c not in level and is_sum_indecomposable(c):
             return False
     return True
@@ -221,7 +236,7 @@ def next_level(level: set[bytes]) -> Iterator[bytes]:
         good = (1 << top) - 1  # bit pos: the new maximum may go at pos
         for j, v in enumerate(p):
             # _delete inlined for speed
-            mask = get((p[:j] + p[j + 1:]).translate(_DOWN[v]), 0)
+            mask = get(p.translate(_DOWN[v], _BYTE[v]), 0)
             low = (2 << j) - 1  # positions pos <= j
             # pos <= j needs bit pos of mask, pos > j needs bit pos - 1
             good &= (mask & low) | (mask << 1 & ~low)
@@ -266,13 +281,21 @@ def next_si_level(level: set[bytes]) -> Iterator[tuple[bytes, int, int]]:
     when an entry goes after the first entry f of a member, with f = r if
     the entry is larger and f = r - 1 if not.
 
+    Each candidate is one ``translate``: per member and position the step
+    builds the member with a hole byte 0 there, and ``_SLOT[val]`` fills
+    the hole with val and raises the entries >= val.  Per block it lists,
+    for each left neighbour a, the tables of the values that may follow a
+    (not a or a + 1, by the run rule; at the last position not the new
+    maximum either), so the inner loop makes no test.
+
     >>> [(tuple(c), count) for c, count, _ in next_si_level({bytes((1,))})]
     [((2, 1), 1)]
     >>> sorted(tuple(c) for c, _, _ in next_si_level({bytes((2, 1))}))
     [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     top = len(next(iter(level), b"")) + 1
-    one = [bytes((v,)) for v in range(top + 1)]  # ValueError past 255
+    if top > 255:
+        raise ValueError("an entry string has at most 255 entries")
     members = []
     by_first: list[list[tuple[bytes, int]]] = [[] for _ in range(top + 1)]
     for p in level:
@@ -284,22 +307,25 @@ def next_si_level(level: set[bytes]) -> Iterator[tuple[bytes, int, int]]:
     for r in range(2, top + 1):
         found: dict[bytes, int] = {}
         get = found.get
-        front, up = one[r], _UP[r]
+        front, up = _BYTE[r], _UP[r]
         for p, w in members:
             c = front + p.translate(up)
             found[c] = get(c, 0) + w
         for first, vals in ((by_first[r], range(r + 1, top + 1)), (by_first[r - 1], range(1, r))):
+            if not first:
+                continue
+            # after[a]: the tables of the values allowed after the entry a;
+            # at the last position the new maximum would give p + 1
+            after = [tuple(_SLOT[v] for v in vals if v != a and v != a + 1) for a in range(top)]
+            last = [tuple(t for t in allowed if t is not _SLOT[top]) for allowed in after]
+            rows = [after] * (top - 2) + [last]
             for p, w in first:
-                for val in vals:
-                    s = p.translate(_UP[val])
-                    b = one[val]
-                    # the positions right after val - 1 and val of p (0: absent)
-                    left = (p.find(val - 1) + 1, p.find(val) + 1)
-                    # the new maximum at the end is p + 1
-                    for pos in range(1, top - (val == top)):
-                        if pos not in left:
-                            c = s[:pos] + b + s[pos:]
-                            found[c] = get(c, 0) + w
+                # position pos of the candidate, right after the entry a of p
+                for pos, a, allowed in zip(range(1, top), p, rows):
+                    q = p[:pos] + b"\0" + p[pos:]
+                    for t in allowed[a]:
+                        c = q.translate(t)
+                        found[c] = get(c, 0) + w
         for c, v in found.items():
             yield c, v & 0xFF, v >> 8 & _MASK64
 

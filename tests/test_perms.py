@@ -121,6 +121,15 @@ def test_next_si_level_on_a_restricted_level():
         assert set(step) == {c for c in _si_level(n) if _k(c) & level}
 
 
+def test_next_si_level_refuses_a_step_past_255_entries():
+    # one sum indecomposable string of 255 entries: its step would make
+    # strings of 256, which no byte string of entries can hold
+    level = {bytes([255]) + bytes(range(1, 255))}
+    assert all(map(is_sum_indecomposable, level))
+    with pytest.raises(ValueError):
+        next(next_si_level(level))
+
+
 def test_direct_sum_and_components_round_trip():
     a, b, c = P("2 3 1"), P("1"), P("2 1")
     s = direct_sum(direct_sum(a, b), c)

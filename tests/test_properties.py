@@ -29,6 +29,8 @@ from permgrowth.insertion import (
 )
 from permgrowth.perms import (
     Permutation,
+    _delete,
+    children,
     contains,
     direct_sum,
     inversion_graph,
@@ -36,6 +38,7 @@ from permgrowth.perms import (
     member_id,
     next_level,
     next_si_level,
+    si_children_within,
     standardize,
 )
 from permgrowth.polynomials import (
@@ -221,6 +224,36 @@ def test_next_si_level_groups_by_child_set(level):
     # equal values exactly when the child sets are equal
     pairs = {(value, child_sets[c]) for c, value in step.items()}
     assert len(pairs) == len({value for value, _ in pairs}) == len({ks for _, ks in pairs})
+
+
+def _sliced(t, i):
+    """The pattern of t without entry i, by slicing and ``standardize``."""
+    return bytes(standardize(t[:i] + t[i + 1:]))
+
+
+@given(permutations(max_len=12), _sublevels(si=True))
+@settings(max_examples=80, deadline=None)
+def test_deletions_match_slicing(p, level):
+    # the one-translate deletion against slicing the entry out and
+    # standardizing what is left, at every position
+    t = bytes(p)
+    kids = [_sliced(t, i) for i in range(len(t))]
+    assert [_delete(p, i) for i in range(len(p))] == kids
+    si_kids = {c for c in kids if _si(c)}
+    if p:
+        assert children(p) == si_kids
+    # within exactly its sum indecomposable children, and not within any
+    # set one short of them
+    assert si_children_within(t, si_kids)
+    for c in si_kids:
+        assert not si_children_within(t, si_kids - {c})
+    # within a drawn level: t, and its prefix one longer than the level's
+    # strings, whose children can lie in the level
+    n = len(next(iter(level), b""))
+    for u in (t, bytes(standardize(t[:n + 1]))):
+        assert si_children_within(u, level) == all(
+            _sliced(u, i) in level or not _si(_sliced(u, i)) for i in range(len(u))
+        )
 
 
 # a random sum closed class: its basis is 1 to 4 sum indecomposable
