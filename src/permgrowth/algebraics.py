@@ -6,21 +6,25 @@ member is a positive multiple of the rational one (see
 at rational points are taken by integer arithmetic.  Roots are carried
 around as ``AlgebraicNumber`` values (square-free defining polynomial plus
 an isolating interval), so comparisons against the named constants are
-exact rather than floating point.  ``growth_polynomial`` names a growth
-rate by the irreducible integer factor that owns it, found with
-``polynomials.irreducible_factors``.  A root is isolated once and refined
-on demand: ``compare`` and ``approx`` narrow it as far as they need, so
-no answer or printed digit depends on the width; a reader of ``lo``/``hi``
-calls ``refine(eps)`` first.  This module is the only one that decides
-how far a root is narrowed, and it has one narrowing routine,
-``_float_at_most``: the greatest float at most a root, found by exact sign
-tests at floats, where a float Newton probe only picks the points.
-``refine`` first narrows an interval to the float step that holds the
-root with it and bisects ``Fraction`` values only below that width, or
-for a root beyond the float range.  ``compare`` narrows both numbers so
-before it builds a gcd chain, so a gcd is computed only for roots within
-a float of each other.  ``family_roots`` is the one exact check that a
-family of roots converges, for the tables and ``accumulation``.
+exact rather than floating point.  ``growth_rate`` finds the growth rate
+of a rational generating function and checks that it is positive and a
+simple pole, with no factoring; ``growth_polynomial`` also names that rate
+by the irreducible integer factor that owns it, found with
+``factoring.irreducible_factors``, for the reports that print the factor.
+A root is isolated once and refined on demand: ``compare`` and ``approx``
+narrow it as far as they need, so no answer or printed digit depends on
+the width; a reader of ``lo``/``hi`` calls ``refine(eps)`` first.  This
+module is the only one that decides how far a root is narrowed, and it has
+one narrowing routine, ``_float_at_most``: the greatest float at most a
+root, found by exact sign tests at floats, where a float Newton probe only
+picks the points.  ``refine`` first narrows an interval to the float step
+that holds the root with it and bisects ``Fraction`` values only below
+that width, or for a root beyond the float range.  ``compare`` narrows
+both numbers so before it builds a gcd chain, so a gcd is computed only
+for roots within a float of each other.  ``family_roots`` is the one exact
+check that a family of roots converges, for the tables and
+``accumulation``.  The runners of the ``growth-rate`` and ``accumulation``
+campaigns are here too.
 """
 
 from __future__ import annotations
@@ -29,16 +33,14 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .polynomials import (
-    IntPolynomial,
-    RationalFunction,
-    _prem,
-    irreducible_factors,
-    poly_gcd,
-    square_free_part,
-)
+from .polynomials import IntPolynomial, RationalFunction, _prem, poly_gcd, square_free_part
+
+if TYPE_CHECKING:
+    from .classes import ClassSpec
+    from .sequences import SumSequence
+
 
 def _check_eps(eps: Fraction) -> None:
     # bisection stops at width <= eps, which it never reaches for eps <= 0
@@ -344,11 +346,15 @@ def largest_real_root(p: IntPolynomial) -> AlgebraicNumber:
     return AlgebraicNumber(sf, chain, lo, hi)
 
 
-def growth_polynomial(f: RationalFunction) -> IntPolynomial:
-    """The irreducible factor of the reciprocal denominator that owns its
-    greatest real root, which is 1/rho for the least positive singularity
-    rho of ``f``; that root is the growth rate of the coefficient
-    sequence."""
+def growth_rate(f: RationalFunction) -> AlgebraicNumber:
+    """The growth rate of the coefficients of ``f``: the greatest real root
+    of the reciprocal denominator, which is 1/rho for the least positive
+    singularity rho of ``f``.  ValueError unless that root is positive and
+    simple, that is unless rho is a simple pole.
+
+    >>> growth_rate(RationalFunction(IntPolynomial([1]), IntPolynomial([1, -1, -1]))).approx(6)
+    '1.618034'
+    """
     if f.den.degree < 1:
         raise ValueError("denominator has no positive real root")
     rev = f.den.reciprocal()
@@ -359,15 +365,23 @@ def growth_polynomial(f: RationalFunction) -> IntPolynomial:
     # the root is positive iff (0, hi] holds a root: none lies above it
     if root is None or _roots_between(root._chain, Fraction(0), root.hi) < 1:
         raise ValueError("polynomial has no positive real root")
-    # the interval isolates the root among those of the square-free part of
-    # rev, the product of its irreducible factors, so exactly one owns it
-    factor = next(
-        g for g in irreducible_factors(rev) if count_real_roots(g, root.lo, root.hi)
-    )
-    # the owning factor must appear exactly once (simple singularity)
-    if factor.divides(rev.exact_div(factor)):
+    # root.poly is the square-free part of rev, so the quotient's roots are
+    # the multiple roots of rev, and the interval isolates the root among
+    # the roots of rev
+    if count_real_roots(rev.exact_div(root.poly), root.lo, root.hi):
         raise ValueError("least positive singularity is not a simple root")
-    return factor
+    return root
+
+
+def growth_polynomial(f: RationalFunction) -> IntPolynomial:
+    """The irreducible factor of the reciprocal denominator of ``f`` that
+    owns its root ``growth_rate(f)``."""
+    from .factoring import irreducible_factors
+
+    root = growth_rate(f)
+    # the factors of the square-free part are those of the denominator, and
+    # the interval isolates the root among their roots, so exactly one owns it
+    return next(g for g in irreducible_factors(root.poly) if count_real_roots(g, root.lo, root.hi))
 
 
 # The named constants kappa and xi, by their defining polynomials; each is
@@ -419,3 +433,55 @@ def family_roots(polys: Iterable[IntPolynomial], limit: IntPolynomial, side: int
         if max(roots[-1].hi, r.hi) - min(roots[-1].lo, r.lo) >= gap:
             return roots, "family roots do not approach the limit"
     return roots, None
+
+
+def run_growth_rate(spec: Optional[ClassSpec] = None, seq: Optional[SumSequence] = None):
+    """The growth rate of a class or a legal sequence, with the factor that
+    owns it and its position against xi."""
+    if (spec is None) == (seq is None):
+        raise ValueError("provide exactly one of a basis or a sequence")
+    if spec is not None:
+        from .insertion import class_gf
+
+        f = class_gf(spec)
+        params = {"basis": [str(p) for p in spec.sorted_basis()]}
+    else:
+        from .sequences import class_gf_of_sequence, is_legal
+
+        if not is_legal(seq):
+            raise ValueError("sequence %s is illegal" % seq)
+        if seq.is_zero():
+            raise ValueError("growth rate requires a nonzero sequence")
+        f = class_gf_of_sequence(seq)
+        params = {"sequence": str(seq)}
+    poly = growth_polynomial(f)
+    root = largest_real_root(poly)
+    return (
+        params,
+        True,
+        {
+            "polynomial": str(poly),
+            "growth": root.approx(6),
+            "position": position_vs_xi(root),
+        },
+    )
+
+
+_ACCUMULATION_GAP = "1/1000"  # the last root's greatest distance from xi
+
+
+def run_accumulation():
+    """Largest roots of (x^5-2x^4-x^2-x-1)(x+1)x^(2i+1) - 1 for i = 1..10:
+    strictly decreasing, all above xi, with the last within 1/1000 of xi."""
+    f = XI_POLY * IntPolynomial([1, 1])  # its largest real root is xi
+    polys = [f.shift(2 * i + 1) - IntPolynomial([1]) for i in range(1, 11)]
+    roots, problem = family_roots(polys, XI_POLY, 1, Fraction(_ACCUMULATION_GAP))
+    artifacts = {
+        "roots": [r.approx(8) for r in roots],
+        "limit": xi().approx(8),
+        "final_gap_below_1e-3": problem is None,  # the gap is the last condition tested
+    }
+    if problem:
+        artifacts["problem"] = problem
+    # the report echoes the isolation width of the gap test as "eps"
+    return {"eps": str(GAP_WIDTH)}, problem is None, artifacts

@@ -3,7 +3,8 @@ computation, and the regular-insertion-encodability test.
 
 Basis files use the text format of :mod:`permgrowth.perms`, one permutation
 per line, with ``#`` comments.  Census data serializes to CSV with columns
-``length, members, sum_indecomposable``.
+``length, members, sum_indecomposable``.  ``run_census`` is the runner of
+the ``census`` campaign.
 """
 
 from __future__ import annotations
@@ -284,4 +285,13 @@ def has_regular_insertion_encoding(spec: ClassSpec) -> bool:
     return all(
         any(embeds_in_alternation(b, kind) for b in spec.basis)
         for kind in _ALTERNATION_HALVES
+    )
+
+
+def run_census(spec: ClassSpec, max_len: int = 8):
+    c = census(spec, max_len)
+    return (
+        {"basis": [str(p) for p in spec.sorted_basis()], "max_len": max_len},
+        True,
+        {"csv": c.to_csv(), "si_counts": c.si_sequence()},
     )

@@ -1,13 +1,14 @@
 """Exhaustive verification that a sum indecomposable permutation's set of
 sum indecomposable children determines it, but for the two increasing
-oscillations of each length, plus the exhaustive taper verifications.
+oscillations of each length, plus the exhaustive taper verifications, and
+the runners of the ``recon-verify`` and ``taper-verify`` campaigns.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from . import perms
 from .perms import (
@@ -211,3 +212,38 @@ def _subsets(s: frozenset) -> Iterator[frozenset]:
     """Every subset of ``s``, the empty one included."""
     for k in range(len(s) + 1):
         yield from map(frozenset, combinations(s, k))
+
+
+def run_recon_verify(n: int = 6):
+    report = verify_reconstruction(n)
+    return (
+        {"n": n},
+        report.passed,
+        {
+            "checked": report.checked,
+            "collisions": [[str(p) for p in g] for g in report.failures],
+        },
+    )
+
+
+# subset size m at each taper length n: the bound is proven at the first
+# three pairs, which the default run checks; (11, 5) replays its failure
+TAPER_SIZES = {4: 2, 5: 3, 6: 4, 11: 5}
+
+
+def run_taper_verify(n: Optional[int] = None):
+    pairs = tuple(TAPER_SIZES.items())[:3] if n is None else ((n, TAPER_SIZES[n]),)
+    results = []
+    ok = True
+    for nn, mm in pairs:
+        rep = verify_taper(nn, mm)
+        ok = ok and rep.passed
+        results.append(
+            {
+                "n": nn,
+                "m": mm,
+                "pool": rep.checked,
+                "violations": [[str(p) for p in g] for g in rep.failures],
+            }
+        )
+    return {} if n is None else {"n": n, "m": TAPER_SIZES[n]}, ok, {"results": results}

@@ -2,12 +2,9 @@
 permutations: legality, domination, generating functions, growth rates,
 classification, and explicit realizing classes.
 
-A realizable sequence takes its class from one of two constructions, the
-wide one (``WIDE``) or the oscillation-based narrow one (``NARROW``).  Each
-is one ``Construction`` record: its chains with the length each starts at,
-the extra members of a few short levels, and the length ``chain_min`` from
-which a level holds just the chains.  Its levels and its template, the
-largest sequence it realizes, are read off that record.
+``realize`` and ``classify`` take the two realization constructions from
+``constructions``, which they load when they run.  This module also holds
+the runner of the ``classify`` campaign.
 
 Text format: comma-separated prefix with an optional parenthesized periodic
 tail, e.g. ``1,1,2,3,(4)`` for 1,1,2,3,4,4,... and ``1,1,2,5,2,1`` for a
@@ -17,20 +14,21 @@ sequence that ends in zeros.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .algebraics import AlgebraicNumber, growth_polynomial, largest_real_root, position_vs_xi
+from .algebraics import AlgebraicNumber, growth_rate, position_vs_xi
 from .polynomials import ONE, IntPolynomial, RationalFunction
 
 if TYPE_CHECKING:
-    from .classes import ClassSpec
+    from .constructions import Realization
     from .perms import Permutation
 
 
 # most counts, prefix and tail together, that SumSequence.parse reads:
-# the longest table row at max_index 6 has 28, and classify takes about
-# 0.2 s on 64 ones but 1.8 s on 120 and 10 s on 240
+# the longest table row at max_index 6 has 28.  classify needs no factoring
+# and takes under 0.01 s on 64, 120 or 240 ones; growth-rate --seq factors
+# the denominator to print the rate's factor, and takes about 0.2 s on 64
+# ones but 1.0 s on 120 and 7.7 s on 240
 MAX_COUNTS = 64
 
 
@@ -206,184 +204,7 @@ def class_gf_of_sequence(s: SumSequence) -> RationalFunction:
 def growth_rate_of_sequence(s: SumSequence) -> AlgebraicNumber:
     if s.is_zero():
         raise ValueError("growth rate requires a nonzero sequence")
-    return largest_real_root(growth_polynomial(class_gf_of_sequence(s)))
-
-
-# ---------------------------------------------------------------------------
-# the two realization constructions
-
-
-class Construction(NamedTuple):
-    """A realization poset: infinite chains, each with the length it starts
-    at, and the extra members of a few short levels.  From ``chain_min`` on,
-    a level holds just the chains.  A level lists its most reusable members
-    first (the chains in order, then the extras), and a realizing class
-    selects the first s_n of them.
-
-    >>> [str(p) for p in WIDE.level(4)]
-    ['2 3 4 1', '3 2 4 1', '2 4 3 1', '3 4 2 1', '4 3 2 1']
-    >>> WIDE.template(), NARROW.template()
-    (SumSequence('1,1,3,5,5,5,(4)'), SumSequence('1,1,2,3,(4)'))
-    """
-
-    name: str
-    chains: tuple[tuple[int, Callable[[int], Permutation]], ...]
-    extra: dict[int, tuple[str, ...]]
-    chain_min: int
-
-    def level(self, n: int) -> list[Permutation]:
-        from .perms import parse_permutation
-
-        if n < 1:
-            raise ValueError("levels start at 1")
-        members = [chain(n) for start, chain in self.chains if n >= start]
-        return members + [parse_permutation(q) for q in self.extra.get(n, ())]
-
-    def template(self) -> SumSequence:
-        """The largest sequence the construction selects from: its level
-        sizes below ``chain_min``, then one member per chain.  A level's
-        size is its chains started by then plus its extra members, so no
-        permutation is built."""
-        sizes = [
-            sum(start <= n for start, _ in self.chains) + len(self.extra.get(n, ()))
-            for n in range(1, self.chain_min)
-        ]
-        return SumSequence(sizes, (len(self.chains),))
-
-
-def _wide_chain(head: str) -> tuple[int, Callable[[int], Permutation]]:
-    """The chain (h ⊕ 12...k) ⊖ 1 for k >= 0, from length len(h) + 1."""
-    size = len(head.split())
-
-    def chain(n: int) -> Permutation:
-        from .perms import Permutation, direct_sum, parse_permutation, skew_sum
-
-        h = parse_permutation(head)
-        return skew_sum(direct_sum(h, Permutation(range(1, n - size))), Permutation((1,)))
-
-    return size + 1, chain
-
-
-def _perms_chain(name: str, **options) -> Callable[[int], Permutation]:
-    """The chain n -> perms.<name>(n, **options); perms loads at its first
-    member, so classifying a sequence builds and loads no permutation."""
-
-    def chain(n: int) -> Permutation:
-        from . import perms
-
-        return getattr(perms, name)(n, **options)
-
-    return chain
-
-
-WIDE = Construction(
-    "wide",
-    tuple(map(_wide_chain, ("", "2 1", "1 3 2", "1 2 4 3"))),
-    {3: ("3 1 2",), 4: ("3 4 2 1", "4 3 2 1"), 5: ("3 2 5 4 1",), 6: ("2 3 4 6 5 1",)},
-    7,
-)
-
-# the two increasing oscillations and two split-end chains; at a spike,
-# realize adds a fifth member, a split-end one, to the level
-NARROW = Construction(
-    "narrow",
-    (
-        (1, _perms_chain("increasing_oscillation")),
-        (3, _perms_chain("increasing_oscillation", primary=False)),
-        (4, _perms_chain("head_member")),
-        (5, _perms_chain("tail_member")),
-    ),
-    {},
-    5,
-)
-
-
-def _narrow_spike(s: SumSequence) -> Optional[int]:
-    """If s is dominated by 1,1,2,3,4^{2i},5,4^... for some i >= 0, the
-    position of the allowed 5 (or 0 when no term reaches 5); None when not
-    dominated by any member of the family."""
-    template = NARROW.template()
-    spike = 0
-    for n in range(1, s._horizon() + 1):
-        v = s.term(n)
-        if v > template.term(n):
-            if v == 5 and n >= 5 and n % 2 == 1 and spike == 0:
-                spike = n
-            else:
-                return None
-    # the spike must sit at 2i+5 with 4s before it: domination handles the
-    # rest, but a spike inside the periodic tail would repeat
-    if spike and s.tail and spike > len(s.prefix):
-        return None
-    return spike
-
-
-def _has_late_double_one(s: SumSequence) -> bool:
-    for n in range(4, s._horizon() + 2):
-        if s.term(n) == 1 and s.term(n + 1) == 1:
-            return True
-    return False
-
-
-def _construction_of(s: SumSequence) -> Optional[tuple[Construction, int]]:
-    """The construction that realizes s, with the position of a narrow
-    one's spike (0 for none), or None when neither does."""
-    if dominates(s, WIDE.template()):
-        return WIDE, 0
-    spike = _narrow_spike(s)
-    if spike is None or _has_late_double_one(s):
-        return None
-    return NARROW, spike
-
-
-class Realization(NamedTuple):
-    """A class whose sum indecomposable members realize a sequence: the
-    construction it selects from and its finite basis (all sums of patterns
-    of the selections)."""
-
-    kind: str  # "wide" | "narrow"
-    spec: ClassSpec
-
-
-def _selection_oracle(
-    levels: dict[int, list[Permutation]],
-    chains: list[Callable[[int], Permutation]],
-    chain_min: int,
-) -> Callable[[Permutation], bool]:
-    """Membership of a permutation in the sum closure of the selected levels
-    and the active chains: each of its sum components is an SI pattern of
-    one of them."""
-    from .perms import children
-
-    flat = [q for level in levels.values() for q in level]
-
-    @lru_cache(maxsize=None)
-    def members(k: int) -> frozenset[Permutation]:
-        # the SI patterns of length k of the selections and of each chain at
-        # length n.  All of these are SI, and SI children alone reach every
-        # SI pattern of one: a connected inversion graph stays connected
-        # without some vertex outside a given connected induced part (a leaf
-        # of a spanning tree that extends one of the part)
-        n = max(chain_min, 2 * k + 6)
-        found: set[Permutation] = set()
-        for top in [q for q in flat if len(q) >= k] + [chain(n) for chain in chains]:
-            level = {top}
-            for _ in range(len(top) - k):
-                level = {c for q in level for c in children(q)}
-            found |= level
-        return frozenset(found)
-
-    def oracle(p: Permutation) -> bool:
-        start = hi = 0
-        for k, x in enumerate(p, 1):
-            hi = max(hi, x)
-            if hi == k:  # p[start:k] is a sum component
-                if bytes(v - start for v in p[start:k]) not in members(k - start):
-                    return False
-                start = k
-        return True
-
-    return oracle
+    return growth_rate(class_gf_of_sequence(s))
 
 
 def realize(s: SumSequence) -> Realization:
@@ -396,6 +217,7 @@ def realize(s: SumSequence) -> Realization:
     automaton equals the sequence's, which certifies the counts at every
     length; otherwise ValueError names the sequence."""
     from .classes import ClassSpec, compute_basis
+    from .constructions import Realization, _construction_of, _selection_oracle
     from .insertion import class_gf, si_gf
     from .perms import split_end_member
 
@@ -442,6 +264,8 @@ def classify(s: SumSequence) -> ClassificationVerdict:
         return ClassificationVerdict(False, "no", "illegal sequence")
     if s.is_zero():
         return ClassificationVerdict(True, "yes", "empty selection")
+    from .constructions import _construction_of, _has_late_double_one
+
     growth = growth_rate_of_sequence(s)
     position = position_vs_xi(growth)
 
@@ -471,3 +295,7 @@ def classify(s: SumSequence) -> ClassificationVerdict:
     if chosen is None:
         return no("outside the characterized region")
     return ClassificationVerdict(True, "yes", "%s construction" % chosen[0].name, growth, position)
+
+
+def run_classify(seq: SumSequence):
+    return {"sequence": str(seq)}, True, classify(seq).to_dict()

@@ -11,6 +11,7 @@ from permgrowth.algebraics import (
     count_real_roots,
     family_roots,
     growth_polynomial,
+    growth_rate,
     largest_real_root,
     root_bound,
     sturm_sequence,
@@ -203,10 +204,11 @@ def test_growth_polynomial_picks_the_owning_factor():
 
 def test_growth_polynomial_rejects_a_double_or_missing_singularity():
     golden = IntPolynomial([1, -1, -1])
-    with pytest.raises(ValueError, match="not a simple root"):
-        growth_polynomial(RationalFunction(ONE, golden * golden))
-    with pytest.raises(ValueError, match="no positive real root"):
-        growth_polynomial(RationalFunction(ONE, IntPolynomial([1, 1])))
+    for extract in (growth_rate, growth_polynomial):
+        with pytest.raises(ValueError, match="not a simple root"):
+            extract(RationalFunction(ONE, golden * golden))
+        with pytest.raises(ValueError, match="no positive real root"):
+            extract(RationalFunction(ONE, IntPolynomial([1, 1])))
 
 
 def test_nonpositive_eps_raises():

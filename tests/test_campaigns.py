@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from permgrowth import campaigns, classes, insertion
+from permgrowth import classes, insertion, search
 from permgrowth.algebraics import XI_POLY, family_roots, growth_polynomial, largest_real_root, xi
 from permgrowth.campaigns import run_campaign
 from permgrowth.classes import ClassSpec, census, orbit_key, spec_from_strs
@@ -112,14 +112,14 @@ def test_search_1123_checks_each_class_against_its_orbit_gf(monkeypatch):
 def test_first_count_above():
     x = IntPolynomial([0, 1])
     one_minus_x = IntPolynomial([1, -1])
-    assert campaigns._first_count_above(RationalFunction(x, one_minus_x), 5) is None
-    assert campaigns._first_count_above(RationalFunction(IntPolynomial([0, 6]), one_minus_x), 5) == 1
+    assert search._first_count_above(RationalFunction(x, one_minus_x), 5) is None
+    assert search._first_count_above(RationalFunction(IntPolynomial([0, 6]), one_minus_x), 5) == 1
     # the Fibonacci counts 1,1,2,3,5,8 have no period, so the series decides
     fibonacci = RationalFunction(x, IntPolynomial([1, -1, -1]))
-    assert campaigns._first_count_above(fibonacci, 5) == 6
+    assert search._first_count_above(fibonacci, 5) == 6
     # period 13 is past the longest period tried, and the series stays <= 5
     with pytest.raises(ValueError):
-        campaigns._first_count_above(RationalFunction(IntPolynomial([1]), IntPolynomial([1] + [0] * 12 + [-1])), 5)
+        search._first_count_above(RationalFunction(IntPolynomial([1]), IntPolynomial([1] + [0] * 12 + [-1])), 5)
 
 
 def test_search_1123_has_no_fallback_for_a_class_without_gf(monkeypatch):
@@ -174,7 +174,7 @@ def _classes_with_prefix_from_scratch(prefix):
 ])
 def test_classes_with_prefix_match_a_from_scratch_enumeration(prefix, count):
     # each class inherits its parent's level and takes its basis unminimised
-    got = campaigns._classes_with_prefix(prefix)
+    got = search._classes_with_prefix(prefix)
     assert len(got) == count
     assert [spec.basis for spec in got] == [spec.basis for spec in _classes_with_prefix_from_scratch(prefix)]
     for spec in got:
@@ -184,7 +184,7 @@ def test_classes_with_prefix_match_a_from_scratch_enumeration(prefix, count):
 def test_search_112344_checks_the_prefix_on_the_gf(monkeypatch):
     # the Fibonacci class's sum indecomposable counts begin 1,1,2,3,5,8
     fibonacci = spec_from_strs("2 3 1", "4 3 1 2", "4 3 2 1")
-    monkeypatch.setattr(campaigns, "_classes_with_prefix", lambda prefix: [fibonacci])
+    monkeypatch.setattr(search, "_classes_with_prefix", lambda prefix: [fibonacci])
     with pytest.raises(AssertionError, match="wrong prefix"):
         run_campaign("search-112344")
 

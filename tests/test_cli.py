@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import permgrowth
-from permgrowth import campaigns, cli
+from permgrowth import algebraics, campaigns, cli
 from permgrowth.cli import main
 from permgrowth.perms import ALTERNATION_KINDS, vertical_alternation
 from permgrowth.sequences import SumSequence, realize
@@ -36,7 +36,7 @@ def test_fail_exit_code(capsys):
 def test_accumulation_family_that_misses_its_gap_fails(monkeypatch, capsys):
     # the last root lies 1.9e-10 above xi, so a gap of 1e-11 is not met; a
     # broken condition is a failed claim, not a usage error
-    monkeypatch.setattr(campaigns, "_ACCUMULATION_GAP", "1/100000000000")
+    monkeypatch.setattr(algebraics, "_ACCUMULATION_GAP", "1/100000000000")
     assert main(["accumulation"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "fail"

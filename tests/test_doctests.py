@@ -7,7 +7,11 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "name", ["perms", "classes", "campaigns", "polynomials", "algebraics", "sequences", "insertion", "tables"]
+    "name",
+    [
+        "perms", "classes", "campaigns", "polynomials", "factoring", "algebraics", "sequences",
+        "constructions", "insertion", "tables", "search",
+    ],
 )
 def test_docstring_examples(name):
     module = importlib.import_module("permgrowth." + name)

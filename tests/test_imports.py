@@ -53,13 +53,13 @@ _PROBE = (
 )
 
 
-def _added(argv: list) -> set:
+def _added(argv: list, code: str = "0") -> set:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
     run = subprocess.run(
         [sys.executable, "-c", _PROBE] + argv, env=env, capture_output=True, text=True, check=True
     )
-    code, *modules = run.stdout.split()
-    assert code == "0", (argv, run.stderr)
+    exit_code, *modules = run.stdout.split()
+    assert exit_code == code, (argv, run.stderr)
     return set(modules)
 
 
@@ -79,39 +79,50 @@ def test_cli_import_loads_no_dataclasses():
     assert not _added([]) & {"dataclasses", "inspect"}
 
 
+# the modules that only the searches, the printed growth factors and the
+# realization constructions need
+_ON_DEMAND = {"search", "factoring", "constructions"}
+
+
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
         (
             ["census", "--basis", "BASIS", "--max-len", "7"],
-            {"tables", "sequences", "algebraics", "polynomials", "insertion", "reconstruction"},
+            {"tables", "sequences", "algebraics", "polynomials", "insertion", "reconstruction"} | _ON_DEMAND,
         ),
         (
             ["classify", "--seq", "1,1,2,3,(4)"],
-            {"tables", "perms", "classes", "insertion", "reconstruction"},
+            {"tables", "perms", "classes", "insertion", "reconstruction", "search", "factoring"},
         ),
         (
             ["recon-verify", "--max-len", "6"],
-            {"tables", "sequences", "insertion", "algebraics", "polynomials"},
+            {"tables", "sequences", "insertion", "algebraics", "polynomials"} | _ON_DEMAND,
         ),
         (
             ["growth-rate", "--seq", "1,1,2,3,(4)"],
-            {"tables", "perms", "classes", "insertion", "reconstruction"},
+            {"tables", "perms", "classes", "insertion", "reconstruction", "search", "constructions"},
         ),
-        (["growth-rate", "--basis", "BASIS"], {"tables", "sequences", "reconstruction"}),
-        (["table2", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"}),
-        (["table4", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"}),
+        (["growth-rate", "--basis", "BASIS"], {"tables", "sequences", "reconstruction", "search", "constructions"}),
+        (["table2", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"} | _ON_DEMAND),
+        (["table4", "--max-len", "2"], {"perms", "classes", "insertion", "reconstruction"} | _ON_DEMAND),
         (
             ["accumulation"],
-            {"tables", "sequences", "perms", "classes", "insertion", "reconstruction"},
+            {"tables", "sequences", "perms", "classes", "insertion", "reconstruction"} | _ON_DEMAND,
         ),
-        (["search-112344"], {"tables", "sequences", "algebraics", "reconstruction"}),
+        (["search-112344"], {"tables", "sequences", "algebraics", "reconstruction", "factoring", "constructions"}),
+        (
+            ["taper-verify", "--max-len", "6"],
+            {"tables", "sequences", "classes", "insertion", "algebraics", "polynomials"} | _ON_DEMAND,
+        ),
+        (["xi-basis", "--max-len", "9"], {"tables", "reconstruction", "search"}),
     ],
 )
 def test_a_call_loads_only_the_modules_its_campaign_runs(argv, unloaded, tmp_path):
     basis = tmp_path / "basis.txt"
     basis.write_text("2 3 1\n4 3 1 2\n4 3 2 1\n")
-    added = _added([str(basis) if a == "BASIS" else a for a in argv])
+    # xi-basis exits 1 by design: the quoted basis misses its claim
+    added = _added([str(basis) if a == "BASIS" else a for a in argv], "1" if argv[0] == "xi-basis" else "0")
     loaded = _loaded(added)
     assert {"campaigns", "cli"} <= loaded
     assert not loaded & unloaded, loaded & unloaded

@@ -2,7 +2,7 @@ import pytest
 from test_acceptance import XI_WITNESS_BASIS
 
 from permgrowth import insertion
-from permgrowth.campaigns import _classes_with_prefix
+from permgrowth.search import _classes_with_prefix
 from permgrowth.classes import (
     census,
     embeds_in_alternation,

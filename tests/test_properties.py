@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from permgrowth import insertion
-from permgrowth.algebraics import AlgebraicNumber, compare, count_real_roots, largest_real_root, root_bound
+from permgrowth.algebraics import (
+    AlgebraicNumber,
+    compare,
+    count_real_roots,
+    growth_polynomial,
+    largest_real_root,
+    root_bound,
+)
 from permgrowth.classes import (
     ClassSpec,
     census,
@@ -41,17 +48,18 @@ from permgrowth.perms import (
     si_children_within,
     standardize,
 )
+from permgrowth.factoring import irreducible_factors
 from permgrowth.polynomials import (
     ONE,
     IntPolynomial,
     RationalFunction,
-    irreducible_factors,
     poly_gcd,
 )
 from permgrowth.sequences import (
     SumSequence,
     class_gf_of_sequence,
     gf_of_sequence,
+    growth_rate_of_sequence,
     is_legal,
 )
 
@@ -621,3 +629,12 @@ legal_sequences = st.builds(
 def test_class_gf_of_sequence_matches_one_over_one_minus_g(s):
     one = RationalFunction.from_poly(ONE)
     assert class_gf_of_sequence(s) == one / (one - gf_of_sequence(s))
+
+
+@given(legal_sequences)
+@settings(deadline=None)
+def test_growth_rate_is_the_root_of_the_growth_factor(s):
+    # the rate found without factoring is the greatest root of the factor
+    # that the reports print
+    factor = growth_polynomial(class_gf_of_sequence(s))
+    assert compare(growth_rate_of_sequence(s), largest_real_root(factor)) == 0

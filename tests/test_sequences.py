@@ -11,11 +11,9 @@ from permgrowth.perms import (
     contains,
     is_sum_indecomposable,
 )
+from permgrowth.constructions import NARROW, WIDE, _selection_oracle
 from permgrowth.sequences import (
     MAX_COUNTS,
-    NARROW,
-    WIDE,
-    _selection_oracle,
     SumSequence,
     class_gf_of_sequence,
     classify,
@@ -122,6 +120,18 @@ def test_position_vs_xi():
     assert position_vs_xi(growth_rate_of_sequence(S("1,(1)"))) == "below_xi"
     assert position_vs_xi(growth_rate_of_sequence(S("1,1,2,3,(4)"))) == "equal_xi"
     assert position_vs_xi(growth_rate_of_sequence(S("1,1,3,5,(5)"))) == "above_xi"
+
+
+def test_classify_finds_the_growth_rate_without_factoring(monkeypatch):
+    from permgrowth import factoring
+
+    def refuse(p):
+        raise AssertionError("classify factored %s" % p)
+
+    monkeypatch.setattr(factoring, "irreducible_factors", refuse)
+    verdict = classify(SumSequence([1] * 64))
+    assert (verdict.realizable, verdict.position) == ("yes", "below_xi")
+    assert verdict.to_dict()["growth"] == "2.000000"
 
 
 CLASSIFY_CASES = [
