@@ -9,11 +9,14 @@ which a level holds just the chains.  Its levels and its template, the
 largest sequence it realizes, are read off that record.  Permutations are
 built, and ``perms`` loaded, only when a level is listed, so classifying a
 sequence builds none.
+
+A realizing class's membership oracle is its selection, closed under sums
+but not under patterns: ``realize`` certifies the class by its SI generating
+function, and a certified class's SI members are exactly the selected ones.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .sequences import SumSequence, dominates
@@ -148,8 +151,8 @@ def _construction_of(s: SumSequence) -> Optional[tuple[Construction, int]]:
 
 class Realization(NamedTuple):
     """A class whose sum indecomposable members realize a sequence: the
-    construction it selects from and its finite basis (all sums of patterns
-    of the selections)."""
+    construction it selects from and its finite basis (the class is all
+    sums of the selected members)."""
 
     kind: str  # "wide" | "narrow"
     spec: ClassSpec
@@ -158,37 +161,23 @@ class Realization(NamedTuple):
 def _selection_oracle(
     levels: dict[int, list[Permutation]],
     chains: list[Callable[[int], Permutation]],
-    chain_min: int,
+    max_len: int,
 ) -> Callable[[Permutation], bool]:
-    """Membership of a permutation in the sum closure of the selected levels
-    and the active chains: each of its sum components is an SI pattern of
-    one of them."""
-    from .perms import children
-
-    flat = [q for level in levels.values() for q in level]
-
-    @lru_cache(maxsize=None)
-    def members(k: int) -> frozenset[Permutation]:
-        # the SI patterns of length k of the selections and of each chain at
-        # length n.  All of these are SI, and SI children alone reach every
-        # SI pattern of one: a connected inversion graph stays connected
-        # without some vertex outside a given connected induced part (a leaf
-        # of a spanning tree that extends one of the part)
-        n = max(chain_min, 2 * k + 6)
-        found: set[Permutation] = set()
-        for top in [q for q in flat if len(q) >= k] + [chain(n) for chain in chains]:
-            level = {top}
-            for _ in range(len(top) - k):
-                level = {c for q in level for c in children(q)}
-            found |= level
-        return frozenset(found)
+    """Membership of a permutation of length <= max_len in the sum closure
+    of a selection: each of its sum components of length k is one of the
+    selected members of level k or, past the listed levels, the member of
+    length k of one of the active chains."""
+    members = {
+        k: frozenset(levels[k] if k in levels else [chain(k) for chain in chains])
+        for k in range(1, max_len + 1)
+    }
 
     def oracle(p: Permutation) -> bool:
         start = hi = 0
         for k, x in enumerate(p, 1):
             hi = max(hi, x)
             if hi == k:  # p[start:k] is a sum component
-                if bytes(v - start for v in p[start:k]) not in members(k - start):
+                if bytes(v - start for v in p[start:k]) not in members[k - start]:
                     return False
                 start = k
         return True

@@ -212,10 +212,13 @@ def realize(s: SumSequence) -> Realization:
     the constructions (classify(s) calls it realizable).  Level n selects
     the first s_n members of the construction's level, which the template
     guarantees are there, and a tail of value t the first t chains.  The
-    witness basis is recomputed from the selection, and the class is
-    returned only when the SI generating function of its insertion-encoding
-    automaton equals the sequence's, which certifies the counts at every
-    length; otherwise ValueError names the sequence."""
+    witness basis is computed from the selection itself: a member's sum
+    components are selected members.  The class is returned only when the
+    SI generating function of its insertion-encoding automaton equals the
+    sequence's, which certifies the counts at every length; otherwise
+    ValueError names the sequence.  No pattern closure is needed: a class
+    that passes holds the selection and has s_n SI members of each length
+    n, so its SI members are the selection."""
     from .classes import ClassSpec, compute_basis
     from .constructions import Realization, _construction_of, _selection_oracle
     from .insertion import class_gf, si_gf
@@ -233,8 +236,8 @@ def realize(s: SumSequence) -> Realization:
             pool.append(split_end_member(n, "Uo"))
         levels[n] = pool[: s.term(n)]
     active = [chain for _, chain in construction.chains[: s.term(explicit_to + 1)]]
-    oracle = _selection_oracle(levels, active, construction.chain_min)
-    spec = ClassSpec(compute_basis(oracle, max(7, len(s.prefix) + 2)))
+    bound = max(7, len(s.prefix) + 2)
+    spec = ClassSpec(compute_basis(_selection_oracle(levels, active, bound), bound))
     if si_gf(class_gf(spec)) != gf_of_sequence(s):
         raise ValueError("the class built for %s does not realize it" % s)
     return Realization(construction.name, spec)

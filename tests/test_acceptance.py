@@ -98,7 +98,6 @@ def test_taper_breaks_at_eleven():
 
 
 # 4. the two branching searches over small-count classes
-@pytest.mark.slow
 def test_search_1123():
     report = run_campaign("search-1123")
     assert report.passed

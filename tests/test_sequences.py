@@ -8,8 +8,9 @@ from permgrowth.classes import census
 from permgrowth.insertion import class_gf, si_gf
 from permgrowth.perms import (
     all_permutations,
-    contains,
     is_sum_indecomposable,
+    split_end_member,
+    standardize,
 )
 from permgrowth.constructions import NARROW, WIDE, _selection_oracle
 from permgrowth.sequences import (
@@ -185,15 +186,20 @@ def test_realize_census_reproduces_sequence(text, check_to):
 
 
 @pytest.mark.parametrize(
-    "i,size,longest", [(0, 11, 8), (2, 10, 10), (4, 11, 12), (6, 12, 14)]
+    "i,size,longest", [(0, 11, 8)] + [(i, i // 2 + 9, i + 8) for i in range(2, 15, 2)]
 )
 def test_realize_table2_family_exactly(i, size, longest):
     # the table-2 family 1,1,2,3,4^i,5,4,2, whose growth rates fall to xi;
-    # the g.f. identity checks the class at every length, not up to a census
+    # the g.f. identity checks the class at every length, not up to a census.
+    # From i = 2 on, the basis ends in three elements of length i + 7 and
+    # two of length i + 8
     s = SumSequence([1, 1, 2, 3] + [4] * i + [5, 4, 2])
     spec = realize(s).spec
     assert si_gf(class_gf(spec)) == gf_of_sequence(s)
-    assert (len(spec.basis), max(map(len, spec.basis))) == (size, longest)
+    lengths = [len(b) for b in spec.basis]
+    assert (len(lengths), max(lengths)) == (size, longest)
+    top = (lengths.count(longest - 1), lengths.count(longest))
+    assert top == ((2, 2) if i == 0 else (3, 2))
 
 
 # levels 1..8 of the two realization constructions, most reusable first
@@ -232,24 +238,58 @@ def test_construction_levels_and_templates(construction, levels, template):
     assert str(construction.template()) == template
 
 
+def _in_sum_closure(p, selected):
+    # p splits as a first sum component, SI and selected, plus a rest that
+    # does the same
+    return not p or any(
+        set(p[:k]) == set(range(1, k + 1))
+        and is_sum_indecomposable(p[:k])
+        and p[:k] in selected
+        and _in_sum_closure(standardize(p[k:]), selected)
+        for k in range(1, len(p) + 1)
+    )
+
+
 @pytest.mark.parametrize("construction", [WIDE, NARROW], ids=["wide", "narrow"])
-def test_selection_oracle_agrees_with_embedding_search(construction):
-    # the oracle reads the SI patterns of the selections and chains off SI
-    # children alone; on SI permutations it must answer as containment does
+def test_selection_oracle_is_the_sum_closure_of_the_selection(construction):
+    # each sum component must be a selected member of its length or, past
+    # the listed levels, an active chain's member; no pattern of one counts
     chains = [chain for _, chain in construction.chains]
-    chain_min = construction.chain_min
-    for upto in (2, 4):
+    for upto in (4, 5):
         levels = {n: construction.level(n)[:2] for n in range(1, upto + 1)}
         for active in (chains[:1], chains[1:]):
-            oracle = _selection_oracle(levels, active, chain_min)
-            flat = [q for level in levels.values() for q in level]
-            for k in range(1, 7):
-                texts = flat + [chain(max(chain_min, 2 * k + 6)) for chain in active]
-                for p in filter(is_sum_indecomposable, all_permutations(k)):
-                    assert oracle(p) == any(contains(p, q) for q in texts), (upto, p)
+            oracle = _selection_oracle(levels, active, 6)
+            selected = {q for level in levels.values() for q in level}
+            selected |= {chain(k) for chain in active for k in range(upto + 1, 7)}
+            for k in range(7):
+                for p in all_permutations(k):
+                    assert oracle(p) == _in_sum_closure(p, selected), (upto, p)
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize(
+    "text,kind,spike",
+    [
+        ("1,1,2,3,5,4,2", "wide", 0),
+        ("1,1,2,3,4,4,5,4,2", "narrow", 7),
+        ("1,1,2,4,3,3,2,1", "wide", 0),
+        ("1,1,3,5,5,5,(4)", "wide", 0),
+    ],
+)
+def test_realized_si_members_are_the_selection(text, kind, spike):
+    # what lets realize decide membership by the selection alone: a
+    # certified class's SI members of each length are the selected ones
+    s = S(text)
+    r = realize(s)
+    assert r.kind == kind
+    construction = WIDE if kind == "wide" else NARROW
+    members = census(r.spec, 9)
+    for n in range(1, 10):
+        pool = construction.level(n)
+        if n == spike:
+            pool.append(split_end_member(n, "Uo"))
+        assert members.si_members(n) == sorted(pool[: s.term(n)]), n
+
+
 def test_realize_narrow_spike():
     s = S("1,1,2,3,4,4,5,4,2")
     r = realize(s)
@@ -273,7 +313,6 @@ def _random_realizable(rng):
     return s if classify(s).realizable == "yes" else None
 
 
-@pytest.mark.slow
 def test_realize_random_samples():
     rng = random.Random(112344)
     seen = set()
