@@ -13,6 +13,14 @@ still-missing entry the interval of slots it may occupy.  A completed
 embedding, or one with a single entry left, kills the state; words reaching
 slot count zero are exactly the encodings of class members.
 
+A signature, the windows of one embedding's missing entries, is ``bytes``
+with one byte per entry, the window (lo, hi) packed as ``lo << 4 | hi``.
+Renumbering the slots after a letter is then one ``bytes.translate`` of
+the signature, and so is each side of the clamp a matched entry puts on
+its neighbours.  The 256-byte tables are built on first use, one per
+letter and clamp bound; a window reaches ``SLOT_CAP + 1``, which 4 bits
+must hold.
+
 One basis element's step depends only on the element, its signature set
 and the letter, so steps are cached across builds: the classes of one
 search share most basis elements.  Equal signature sets are interned to one
@@ -154,40 +162,73 @@ def _next_entry_tables(basis: Permutation) -> bytes:
     return bytes(table)
 
 
-def _reindex(sig: tuple[tuple[int, int], ...], action: str, j: int) -> tuple[tuple[int, int], ...]:
+class _TranslateTables(dict):
+    """``bytes.translate`` tables for windows packed ``lo << 4 | hi``, one
+    per (kind, j), each built on its first use: a build needs few of them,
+    and building all at import would slow every call that loads this
+    module.  Kind ``f`` or ``m`` renumbers the windows after that letter at
+    slot j (see ``_reindex``); ``hi`` caps each window's upper end at j and
+    ``lo`` raises its lower end to j.  Windows stay within 0..SLOT_CAP + 1,
+    so ``m`` never carries a nibble past 15 on a byte that occurs."""
+
+    def __missing__(self, key):
+        kind, j = key
+        windows = [(w >> 4, w & 15) for w in range(256)]
+        if kind == "f":
+            table = [(lo - (lo > j)) << 4 | hi - (hi >= j) for lo, hi in windows]
+        elif kind == "m":
+            table = [min(lo + (lo > j), 15) << 4 | min(hi + (hi >= j), 15) for lo, hi in windows]
+        elif kind == "hi":
+            table = [lo << 4 | min(hi, j) for lo, hi in windows]
+        else:  # lo
+            table = [max(lo, j) << 4 | hi for lo, hi in windows]
+        out = self[key] = bytes(table)
+        return out
+
+
+_TABLES = _TranslateTables()
+
+
+def _reindex(sig: bytes, action: str, j: int) -> bytes:
     """The windows of ``sig`` in the slot numbering after the letter
     ``action`` at slot j: ``f`` closes slot j, so the slots right of it move
     down one, and ``m`` splits it in two, so they move up one; ``l`` and
     ``r`` keep the numbering.  A window of slot j alone empties under ``f``."""
-    d = _SLOT_DELTA[action]
-    if not d:
+    if not _SLOT_DELTA[action]:
         return sig
-    return tuple([(lo + d if lo > j else lo, hi + d if hi >= j else hi) for lo, hi in sig])
+    return sig.translate(_TABLES[action, j])
 
 
-def _feasible(sig: tuple[tuple[int, int], ...]) -> bool:
+def _feasible(sig: bytes) -> bool:
     # remaining entries occupy slots weakly left to right (sharing allowed)
     cur = 1
-    for lo, hi in sig:
-        if lo > cur:
-            cur = lo
-        if cur > hi:
+    for w in sig:
+        if w >> 4 > cur:
+            cur = w >> 4
+        if cur > w & 15:
             return False
     return True
 
 
 def _dominance_prune(sigs: set) -> frozenset:
+    # only signatures of equal length can dominate one another
     if len(sigs) < 2:
         return frozenset(sigs)
-    kept = []
+    by_len: dict = {}
     for a in sigs:
-        for b in sigs:
-            if b is not a and len(b) == len(a) and all(
-                bl <= al and bh >= ah for (bl, bh), (al, ah) in zip(b, a)
-            ):
-                break  # a is dominated
-        else:
-            kept.append(a)
+        by_len.setdefault(len(a), []).append(a)
+    if len(by_len) == len(sigs):
+        return frozenset(sigs)
+    kept = []
+    for group in by_len.values():
+        for a in group:
+            for b in group:
+                if b is not a and all(
+                    x >> 4 <= y >> 4 and x & 15 >= y & 15 for x, y in zip(b, a)
+                ):
+                    break  # a is dominated
+            else:
+                kept.append(a)
     return frozenset(kept)
 
 
@@ -223,6 +264,11 @@ def _step_sigset(sigs, table, action: str, j: int):
     """Evolve one basis element's signature set; _DEAD once an embedding
     is complete or has a single entry left.
 
+    A signature is ``bytes``, one byte per remaining entry, holding that
+    entry's window of slots as ``lo << 4 | hi``; so renumbering a signature
+    is one ``bytes.translate`` (``_reindex``), and so is each side of the
+    matched branch's clamp, through the lazily built ``_TABLES``.
+
     Every window lies in 1..s, the slot count before the letter, and
     ``_reindex`` maps each window in 1..s that stays non-empty into
     1..s_new, the count after it; so no window needs clamping to s_new.
@@ -236,23 +282,22 @@ def _step_sigset(sigs, table, action: str, j: int):
         j_left, j_right = j - 1, j
     else:  # l, m
         j_left, j_right = j, j + 1
+    cap_hi = _TABLES["hi", j_left]
+    raise_lo = _TABLES["lo", j_right]
     for sig in sigs:
         ns = _reindex(sig, action, j)
         if action != "f" or _feasible(ns):
             out.add(ns)
         t = table[len(sig)]
-        lo, hi = sig[t]
-        if lo <= j <= hi:
+        w = sig[t]
+        if w >> 4 <= j <= w & 15:
             # v matches entry t: the entries left of it go left of v, the
             # entries right of it right of v
-            matched = tuple(
-                [(wlo, whi if whi < j_left else j_left) for wlo, whi in ns[:t]]
-                + [(wlo if wlo > j_right else j_right, whi) for wlo, whi in ns[t + 1:]]
-            )
+            matched = ns[:t].translate(cap_hi) + ns[t + 1:].translate(raise_lo)
             if len(matched) > 1:
                 if _feasible(matched):
                     out.add(matched)
-            elif all(wlo <= whi for wlo, whi in matched):
+            elif all(x >> 4 <= x & 15 for x in matched):
                 # complete, or the entry left is b's largest value and its
                 # window a non-empty slot interval: every accepted
                 # completion puts a value larger than all decided ones there
@@ -305,8 +350,12 @@ def build_automaton(spec: ClassSpec) -> Automaton:
 
     Raises :class:`NotRegular` when the class has no regular insertion
     encoding and :class:`SlotBoundExceeded` when a live state would open
-    more than ``SLOT_CAP`` slots.
+    more than ``SLOT_CAP`` slots.  A window reaches ``SLOT_CAP + 1`` and
+    must fit in the 4 bits of a packed window, so a ``SLOT_CAP`` above 14
+    raises ``ValueError``.
     """
+    if SLOT_CAP + 1 > 15:
+        raise ValueError("SLOT_CAP %d does not fit windows in 4 bits; at most 14" % SLOT_CAP)
     if not has_regular_insertion_encoding(spec):
         raise NotRegular("class admits unbounded vertical alternations")
     basis = spec.sorted_basis()
@@ -347,7 +396,7 @@ def build_automaton(spec: ClassSpec) -> Automaton:
                     break
         return live_cache[state]
 
-    initial = (1, tuple(frozenset({((1, 1),) * len(b)}) for b in basis))
+    initial = (1, tuple(frozenset({b"\x11" * len(b)}) for b in basis))
     ids = {initial: 0}
     transitions: list[dict[str, int]] = [{}]
     queue = [initial]
@@ -494,10 +543,17 @@ def class_gf(spec: ClassSpec) -> RationalFunction:
 def si_gf(f: RationalFunction) -> RationalFunction:
     """Generating function of sum indecomposable members, valid for sum
     closed classes: g = 1 - 1/f."""
-    if f.den(0) == 0 or f.num(0) / f.den(0) != 1:
+    P, Q = f.num, f.den
+    if not (P.coeffs and P.coeffs[0] == Q.coeffs[0] != 0):
         raise ValueError("class generating function must have constant term 1")
-    # f = P/Q gives g = (P - Q)/P, in lowest terms as gcd(P - Q, P) = gcd(Q, P)
-    return RationalFunction(f.num - f.den, f.num)
+    # f = P/Q gives g = (P - Q)/P.  f is reduced, so gcd(P - Q, P) =
+    # gcd(Q, P) = 1 and the contents of P - Q and P are coprime; and
+    # P(0) = Q(0) > 0.  So the pair is canonical as it stands, and no gcd
+    # is taken; f = 1 gives g = 0, which the full constructor normalizes
+    D = P - Q
+    if D.is_zero():
+        return RationalFunction(D, P)
+    return RationalFunction._reduced(D, P)
 
 
 _MAX_PERIOD = 12

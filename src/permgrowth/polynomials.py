@@ -10,8 +10,10 @@ integers is in ``factoring``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IntPolynomial:
@@ -92,6 +94,10 @@ class IntPolynomial:
         return IntPolynomial((0,) * k + self.coeffs)
 
     def __call__(self, x) -> Fraction:
+        # imported here: the searches evaluate no polynomial, and fractions
+        # loads decimal
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -248,6 +254,15 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def _reduced(cls, num: IntPolynomial, den: IntPolynomial) -> "RationalFunction":
+        """num/den as given, with no gcd taken: the caller knows the pair
+        is already coprime, with coprime contents and the normalized sign."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @classmethod
     def from_int(cls, k: int) -> "RationalFunction":

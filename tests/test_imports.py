@@ -129,3 +129,7 @@ def test_a_call_loads_only_the_modules_its_campaign_runs(argv, unloaded, tmp_pat
     if argv[0].startswith("table"):
         # growth floats come from exact signs, with no numpy
         assert "numpy" not in added
+    if argv[0] in ("search-112344", "census"):
+        # neither evaluates a polynomial at a point, and fractions loads
+        # decimal, about 2 ms of start-up
+        assert not added & {"fractions", "decimal"}, added & {"fractions", "decimal"}

@@ -130,6 +130,29 @@ def test_gf_from_automaton_is_certified_past_the_terms_it_reads():
     assert class_gf(spec_from_strs("1 2")) == RationalFunction(one, one - x)
 
 
+def test_si_gf_needs_no_gcd():
+    # si_gf builds (P - Q)/P from f = P/Q with no gcd taken; the full
+    # constructor, which takes one, must give the same pair.  Av(1) is among
+    # the specs: its f = 1 gives g = 0, which the full constructor builds
+    for spec in _certificate_specs():
+        f = class_gf(spec)
+        g = si_gf(f)
+        reduced = RationalFunction(f.num - f.den, f.num)
+        assert (g.num, g.den) == (reduced.num, reduced.den), spec
+    g = si_gf(class_gf(spec_from_strs("1")))
+    assert g.num.is_zero() and g.den == IntPolynomial([1])
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [([2], [1, -1]), ([0, 1], [1]), ([], [1]), ([1], [0, 1]), ([-1], [1, 1])],
+)
+def test_si_gf_rejects_a_constant_term_other_than_one(num, den):
+    f = RationalFunction(IntPolynomial(num), IntPolynomial(den))
+    with pytest.raises(ValueError, match="constant term 1"):
+        si_gf(f)
+
+
 def test_berlekamp_massey_finds_the_shortest_recurrence():
     assert insertion._berlekamp_massey([1, 1, 2, 3, 5, 8, 13, 21]) == ([1, -1, -1], 2)
     # 1/(1 - 2x) needs a scaled update: the first discrepancy is 1, then 2
@@ -179,15 +202,31 @@ def test_automaton_accepts_exactly_the_encodings_of_members(basis):
             assert (state in aut.accepts) == member(spec, p), str(p)
 
 
+def pack(sig):
+    """A signature of (lo, hi) windows as the kernel's bytes, lo << 4 | hi."""
+    return bytes(lo << 4 | hi for lo, hi in sig)
+
+
+def unpack(sig):
+    return tuple((w >> 4, w & 15) for w in sig)
+
+
+def step_on_tuples(sigs, table, action, j):
+    """``_step_sigset`` on a set of tuple signatures, packed on the way in
+    and unpacked on the way out."""
+    out = insertion._step_sigset(frozenset(map(pack, sigs)), table, action, j)
+    return out if out is insertion._DEAD else frozenset(map(unpack, out))
+
+
 def test_one_entry_left_kills_the_state():
     b = parse_permutation("1 2")
     table = insertion._next_entry_tables(b)
     sigs = frozenset({((1, 1), (1, 1))})
     # 1 matched with a slot on its right, which must hold a larger value
-    assert insertion._step_sigset(sigs, table, "r", 1) is insertion._DEAD
+    assert step_on_tuples(sigs, table, "r", 1) is insertion._DEAD
     # 1 matched with a slot only on its left: the window of 2 empties, and
     # the unmatched signature stays
-    assert insertion._step_sigset(sigs, table, "l", 1) == sigs
+    assert step_on_tuples(sigs, table, "l", 1) == sigs
 
 
 def test_a_class_needing_exactly_slot_cap_slots_builds(monkeypatch):
@@ -197,6 +236,17 @@ def test_a_class_needing_exactly_slot_cap_slots_builds(monkeypatch):
     assert gf_from_automaton(aut).series(10) == census(spec, 10).member_counts
     monkeypatch.setattr(insertion, "SLOT_CAP", insertion.SLOT_CAP - 1)
     with pytest.raises(SlotBoundExceeded):
+        build_automaton(spec)
+
+
+def test_a_slot_cap_past_four_bit_windows_raises(monkeypatch):
+    # a window reaches SLOT_CAP + 1, and a packed window holds 4 bits
+    spec = spec_from_strs("3 2 1", "3 4 1 2", "4 1 2 3")
+    aut = build_automaton(spec)
+    monkeypatch.setattr(insertion, "SLOT_CAP", 14)
+    assert build_automaton(spec).transitions == aut.transitions
+    monkeypatch.setattr(insertion, "SLOT_CAP", 15)
+    with pytest.raises(ValueError, match="4 bits"):
         build_automaton(spec)
 
 
@@ -278,6 +328,6 @@ def test_reindex_keeps_windows_within_the_new_slot_count():
             for j in range(1, s + 1):
                 for lo in range(1, s + 1):
                     for hi in range(lo, s + 1):
-                        ((new_lo, new_hi),) = insertion._reindex(((lo, hi),), action, j)
+                        ((new_lo, new_hi),) = unpack(insertion._reindex(pack(((lo, hi),)), action, j))
                         if new_lo <= new_hi:
                             assert 1 <= new_lo and new_hi <= s + delta, (s, action, j, lo, hi)

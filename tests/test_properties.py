@@ -10,6 +10,8 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from test_insertion import step_on_tuples
+
 from permgrowth import insertion
 from permgrowth.algebraics import (
     AlgebraicNumber,
@@ -297,9 +299,10 @@ basis_elements = (
 def test_class_gf_matches_census_on_random_regular_classes(basis):
     spec = ClassSpec(map(Permutation, basis))
     assume(has_regular_insertion_encoding(spec))
-    # a build that opens 7 or 8 slots takes 2 s (Av(1432, 12345, 13524), 592
-    # states) or 10–15 s (Av(2341, 31254, 54321), 3 381 states), so this test
-    # refuses those classes, as the program refuses more than SLOT_CAP slots
+    # a build that opens 7 or 8 slots takes about 0.6 s (Av(1432, 12345,
+    # 13524), 592 states) or 7 s (Av(2341, 31254, 54321), 3 381 states) on a
+    # 2-core VM, so this test refuses those classes, as the program refuses
+    # more than SLOT_CAP slots
     try:
         with mock.patch.object(insertion, "SLOT_CAP", 6):
             f = class_gf(spec)
@@ -389,7 +392,7 @@ def test_element_step_matches_a_window_by_window_reference(b, walk):
     for letter in walk + [None]:
         for action in insertion.ACTIONS:
             for j in range(1, s + 1):
-                got = insertion._step_sigset(sigs, table, action, j)
+                got = step_on_tuples(sigs, table, action, j)
                 want = _reference_step(sigs, table, action, j)
                 assert got is want if want is insertion._DEAD else got == want, (sigs, action, j)
         if letter is None:
