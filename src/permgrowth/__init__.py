@@ -18,7 +18,7 @@ _import_started = _time.monotonic()
 # the public names of each module
 _EXPORTS = {
     "perms": "Permutation all_permutations children contains direct_sum "
-    "increasing_oscillation inflate is_sum_indecomposable parse_permutation "
+    "increasing_oscillation is_sum_indecomposable parse_permutation "
     "skew_sum standardize",
     "polynomials": "IntPolynomial RationalFunction",
     "algebraics": "KAPPA_POLY XI_POLY AlgebraicNumber compare family_roots "

@@ -10,6 +10,13 @@ largest sequence it realizes, are read off that record.  Permutations are
 built, and ``perms`` loaded, only when a level is listed, so classifying a
 sequence builds none.
 
+The narrow construction's members are built here, in closed form: the two
+increasing oscillations, and an oscillation with one or both ends of its
+inversion-graph path turned into a rise by ``_with_rises`` (the head and
+tail chains, and the spike member that a level at a narrow sequence's one
+allowed 5 adds).  ``Construction.level`` is the one place that lists a
+level, the spike member included.
+
 A realizing class's membership oracle is its selection, closed under sums
 but not under patterns: ``realize`` certifies the class by its SI generating
 function, and a certified class's SI members are exactly the selected ones.
@@ -44,13 +51,16 @@ class Construction(NamedTuple):
     extra: dict[int, tuple[str, ...]]
     chain_min: int
 
-    def level(self, n: int) -> list[Permutation]:
+    def level(self, n: int, spike: int = 0) -> list[Permutation]:
+        """The members of length n; at ``spike``, the position of a narrow
+        sequence's 5 (see ``_construction_of``), also the spike member."""
         from .perms import parse_permutation
 
         if n < 1:
             raise ValueError("levels start at 1")
         members = [chain(n) for start, chain in self.chains if n >= start]
-        return members + [parse_permutation(q) for q in self.extra.get(n, ())]
+        members += [parse_permutation(q) for q in self.extra.get(n, ())]
+        return members + [spike_member(n)] if n == spike else members
 
     def template(self) -> SumSequence:
         """The largest sequence the construction selects from: its level
@@ -77,16 +87,48 @@ def _wide_chain(head: str) -> tuple[int, Callable[[int], Permutation]]:
     return size + 1, chain
 
 
-def _perms_chain(name: str, **options) -> Callable[[int], Permutation]:
-    """The chain n -> perms.<name>(n, **options); perms loads at its first
-    member, so classifying a sequence builds and loads no permutation."""
+def _with_rises(core: Permutation, *values: int) -> Permutation:
+    """``core`` with the entry of each of ``values`` turned into a rise
+    v, v+1; the larger entries move up to make room.
 
-    def chain(n: int) -> Permutation:
-        from . import perms
+    >>> from permgrowth.perms import increasing_oscillation
+    >>> str(_with_rises(increasing_oscillation(9), 2, 9))
+    '2 3 5 1 7 4 9 6 10 11 8'
+    """
+    from .perms import Permutation
 
-        return getattr(perms, name)(n, **options)
+    out: list[int] = []
+    for x in core:
+        y = x + sum(v < x for v in values)
+        out += (y, y + 1) if x in values else (y,)
+    return Permutation._trusted(out)
 
-    return chain
+
+# the narrow members load perms at their first call.  The tail's core type
+# alternates with the parity of n: that type has its maximum at an end of
+# its path, and consecutive tail members nest
+def _oscillation(n: int, primary: bool = True) -> Permutation:
+    from .perms import increasing_oscillation
+
+    return increasing_oscillation(n, primary)
+
+
+def _head(n: int) -> Permutation:
+    core = _oscillation(n - 1)
+    return _with_rises(core, core[0])
+
+
+def _tail(n: int) -> Permutation:
+    return _with_rises(_oscillation(n - 1, primary=n % 2 == 0), n - 1)
+
+
+def spike_member(n: int) -> Permutation:
+    """The split-end member of odd length n >= 7 that a narrow level holds
+    at its spike: the primary oscillation of length n - 2 with both ends of
+    its inversion-graph path, its first entry and its maximum, turned into
+    rises.  These members form an antichain."""
+    core = _oscillation(n - 2)
+    return _with_rises(core, core[0], n - 2)
 
 
 WIDE = Construction(
@@ -96,15 +138,15 @@ WIDE = Construction(
     7,
 )
 
-# the two increasing oscillations and two split-end chains; at a spike,
-# realize adds a fifth member, a split-end one, to the level
+# the two increasing oscillations and the head and tail chains; a level
+# at a spike adds a fifth member, the spike member
 NARROW = Construction(
     "narrow",
     (
-        (1, _perms_chain("increasing_oscillation")),
-        (3, _perms_chain("increasing_oscillation", primary=False)),
-        (4, _perms_chain("head_member")),
-        (5, _perms_chain("tail_member")),
+        (1, _oscillation),
+        (3, lambda n: _oscillation(n, primary=False)),
+        (4, _head),
+        (5, _tail),
     ),
     {},
     5,

@@ -7,6 +7,9 @@ immutable, so everything here is safe to use from concurrent callers.
 Text format: space-separated values, e.g. ``"2 4 1 3"``; the empty string
 denotes the empty permutation.
 
+``constructions`` builds the narrow construction's members from
+``increasing_oscillation``.
+
 One representation serves every walk: the entry string, ``bytes`` with one
 byte per entry, so lengths are below 256.  A :class:`Permutation` is an
 entry string whose entries were checked to form a rearrangement of 1..n.
@@ -421,10 +424,6 @@ class InversionGraph(NamedTuple):
                     frontier.append(w)
         return len(seen) == self.n
 
-    def leaves(self) -> list[int]:
-        """Values of degree exactly 1, sorted."""
-        return sorted(v for v in range(1, self.n + 1) if self.degree(v) == 1)
-
     def is_path(self) -> bool:
         """True iff the graph is a simple path on all n vertices (n >= 1)."""
         if self.n == 0:
@@ -443,38 +442,6 @@ def inversion_graph(p: Permutation) -> InversionGraph:
             if p[i] > p[j]:
                 edges.add((p[j], p[i]))
     return InversionGraph(len(p), frozenset(edges))
-
-
-def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:
-    """Replace each skeleton entry by an interval order isomorphic to the
-    corresponding part.
-
-    >>> str(inflate(parse_permutation("2 1 3"), [parse_permutation("1 2 3"),
-    ...     parse_permutation("2 1"), parse_permutation("1 2 3 4")]))
-    '3 4 5 2 1 6 7 8 9'
-    """
-    if len(parts) != len(skeleton):
-        raise ValueError("need exactly one part per skeleton entry")
-    if any(len(q) == 0 for q in parts):
-        raise ValueError("parts must be nonempty")
-    # value offset of each block: total size of blocks with smaller skeleton value
-    order = sorted(range(len(skeleton)), key=skeleton.__getitem__)
-    offset = [0] * len(skeleton)
-    acc = 0
-    for i in order:
-        offset[i] = acc
-        acc += len(parts[i])
-    out = []
-    for i in range(len(skeleton)):
-        out.extend(x + offset[i] for x in parts[i])
-    return Permutation(out)
-
-
-def inflate_one(p: Permutation, index: int, part: Permutation) -> Permutation:
-    """Inflate the single entry at 0-based ``index`` by ``part``."""
-    one = Permutation((1,))
-    parts = [part if i == index else one for i in range(len(p))]
-    return inflate(p, parts)
 
 
 def increasing_oscillation(n: int, primary: bool = True) -> Permutation:
@@ -502,55 +469,6 @@ def increasing_oscillation(n: int, primary: bool = True) -> Permutation:
         vals[n - 2] = n
     p = Permutation(vals)
     return p if primary else p.inverse()
-
-
-SPLIT_END_VARIANTS = ("Uo", "Ue", "Uo_inverse", "Ue_inverse")
-
-
-def split_end_member(n: int, variant: str) -> Permutation:
-    """Member of one of the four split-end-path antichains: the length-(n-2)
-    primary oscillation with both leaves of its inversion graph inflated
-    by 12 (variant Uo/Ue), or the inverse of that (Uo_inverse/Ue_inverse).
-
-    >>> str(split_end_member(11, "Uo"))
-    '2 3 5 1 7 4 9 6 10 11 8'
-    """
-    if variant not in SPLIT_END_VARIANTS:
-        raise ValueError("variant must be one of %s" % (SPLIT_END_VARIANTS,))
-    odd = variant.startswith("Uo")
-    if odd and (n % 2 == 0 or n < 7):
-        raise ValueError("Uo members require odd length >= 7")
-    if not odd and (n % 2 == 1 or n < 6):
-        raise ValueError("Ue members require even length >= 6")
-    core = increasing_oscillation(n - 2, primary=True)
-    g = inversion_graph(core)
-    leaf_positions = sorted(core.index(v) for v in g.leaves())
-    if len(leaf_positions) != 2:
-        raise AssertionError("oscillation inversion graph must have two leaves")
-    rise = Permutation((1, 2))
-    p = inflate_one(core, leaf_positions[1], rise)
-    p = inflate_one(p, leaf_positions[0], rise)
-    return p if variant in ("Uo", "Ue") else p.inverse()
-
-
-def head_member(n: int) -> Permutation:
-    """Primary oscillation of length n-1 with its first entry inflated by 12."""
-    if n < 2:
-        raise ValueError("length must be at least 2")
-    return inflate_one(increasing_oscillation(n - 1), 0, Permutation((1, 2)))
-
-
-def tail_member(n: int) -> Permutation:
-    """Oscillation of length n-1 with its greatest entry inflated by 12.
-
-    The core type alternates with the parity of n so that consecutive
-    lengths nest into a single chain (each is a pattern of all longer
-    split-end members).
-    """
-    if n < 2:
-        raise ValueError("length must be at least 2")
-    core = increasing_oscillation(n - 1, primary=n % 2 == 0)
-    return inflate_one(core, core.index(n - 1), Permutation((1, 2)))
 
 
 ALTERNATION_KINDS = ("wedge1", "wedge2", "parallel1", "parallel2")

@@ -21,7 +21,6 @@ from .polynomials import ONE, IntPolynomial, RationalFunction
 
 if TYPE_CHECKING:
     from .constructions import Realization
-    from .perms import Permutation
 
 
 # most counts, prefix and tail together, that SumSequence.parse reads:
@@ -211,7 +210,8 @@ def realize(s: SumSequence) -> Realization:
     """An explicit class realizing ``s``, which must be legal and fit one of
     the constructions (classify(s) calls it realizable).  Level n selects
     the first s_n members of the construction's level, which the template
-    guarantees are there, and a tail of value t the first t chains.  The
+    guarantees are there (a narrow level at the spike holds its spike
+    member last), and a tail of value t the first t chains.  The
     witness basis is computed from the selection itself: a member's sum
     components are selected members.  The class is returned only when the
     SI generating function of its insertion-encoding automaton equals the
@@ -222,19 +222,13 @@ def realize(s: SumSequence) -> Realization:
     from .classes import ClassSpec, compute_basis
     from .constructions import Realization, _construction_of, _selection_oracle
     from .insertion import class_gf, si_gf
-    from .perms import split_end_member
 
     chosen = _construction_of(s) if is_legal(s) else None
     if chosen is None:
         raise ValueError("sequence %s is not known to be realizable" % s)
     construction, spike = chosen
     explicit_to = max(len(s.prefix), construction.chain_min)
-    levels: dict[int, list[Permutation]] = {}
-    for n in range(1, explicit_to + 1):
-        pool = construction.level(n)
-        if n == spike:
-            pool.append(split_end_member(n, "Uo"))
-        levels[n] = pool[: s.term(n)]
+    levels = {n: construction.level(n, spike)[: s.term(n)] for n in range(1, explicit_to + 1)}
     active = [chain for _, chain in construction.chains[: s.term(explicit_to + 1)]]
     bound = max(7, len(s.prefix) + 2)
     spec = ClassSpec(compute_basis(_selection_oracle(levels, active, bound), bound))

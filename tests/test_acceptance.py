@@ -30,7 +30,8 @@ from permgrowth import (
     xi,
 )
 from permgrowth.campaigns import run_campaign
-from permgrowth.perms import parse_permutation, split_end_member
+from permgrowth.constructions import spike_member
+from permgrowth.perms import parse_permutation
 from permgrowth.polynomials import IntPolynomial
 from permgrowth.sequences import SumSequence, growth_rate_of_sequence
 from permgrowth.tables import verify_table
@@ -129,7 +130,7 @@ def test_fibonacci_class_series():
 
 # 6. basis recovery for the sum closure of the split-end antichain closure
 def test_split_end_sum_closure_basis():
-    antichain = [split_end_member(n, "Uo") for n in range(7, 22, 2)]
+    antichain = [spike_member(n) for n in range(7, 22, 2)]
 
     @lru_cache(maxsize=None)
     def in_closure(q):
@@ -323,6 +324,6 @@ def _brute_si_counts(basis_strs, n):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_split_end_substructure_counts(k):
-    mu = split_end_member(2 * k + 7, "Uo")
+    mu = spike_member(2 * k + 7)
     expected = [1, 1, 2, 3] + [4] * (2 * k) + [3, 2, 1]
     assert _sub_closure_si_counts(mu) == expected

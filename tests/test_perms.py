@@ -8,17 +8,16 @@ from permgrowth.perms import (
     contains,
     direct_sum,
     increasing_oscillation,
-    inflate,
     inversion_graph,
     is_sum_indecomposable,
     member_id,
     next_si_level,
     parse_permutation,
     skew_sum,
-    split_end_member,
     standardize,
     vertical_alternation,
 )
+from permgrowth.constructions import spike_member
 
 
 def P(text):
@@ -164,21 +163,13 @@ def test_increasing_oscillation_closed_form():
 
 
 def test_split_end_members_form_an_antichain():
-    ws = [split_end_member(n, "Uo") for n in (7, 9, 11, 13)]
+    ws = [spike_member(n) for n in (7, 9, 11, 13)]
     for w in ws:
         assert is_sum_indecomposable(w)
     for i, a in enumerate(ws):
         for b in ws[i + 1:]:
             assert not contains(a, b)
             assert not contains(b, a)
-
-
-def test_split_end_member_lengths_and_variants():
-    for n in (7, 9, 11):
-        for variant in ("Uo", "Uo_inverse"):
-            assert len(split_end_member(n, variant)) == n
-    with pytest.raises(ValueError):
-        split_end_member(7, "bogus")
 
 
 def test_vertical_alternations():
@@ -190,8 +181,3 @@ def test_vertical_alternations():
             odd = set(v[0::2])
             even = set(v[1::2])
             assert max(odd) < min(even) or min(odd) > max(even)
-
-
-def test_inflate():
-    assert inflate(P("2 1"), [P("1 2"), P("1")]) == P("2 3 1")
-    assert inflate(P("1"), [P("3 1 2")]) == P("3 1 2")

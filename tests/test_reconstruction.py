@@ -23,10 +23,14 @@ def P(text):
 
 
 def test_is_increasing_oscillation():
-    for n in range(3, 9):
-        assert is_increasing_oscillation(increasing_oscillation(n, True))
-        assert is_increasing_oscillation(increasing_oscillation(n, False))
-    assert not is_increasing_oscillation(P("3 2 1"))
+    # true for the two oscillations of each length and for no other sum
+    # indecomposable permutation
+    for n in range(1, 8):
+        oscillations = {increasing_oscillation(n), increasing_oscillation(n, primary=False)}
+        for p in filter(is_sum_indecomposable, all_permutations(n)):
+            assert is_increasing_oscillation(p) == (p in oscillations), p
+    assert is_increasing_oscillation(increasing_oscillation(8))
+    assert is_increasing_oscillation(increasing_oscillation(8, primary=False))
     assert not is_increasing_oscillation(P("3 1 4 6 2 5"))
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,11 +9,13 @@ from permgrowth.classes import census
 from permgrowth.insertion import class_gf, si_gf
 from permgrowth.perms import (
     all_permutations,
+    contains,
+    increasing_oscillation,
+    inversion_graph,
     is_sum_indecomposable,
-    split_end_member,
     standardize,
 )
-from permgrowth.constructions import NARROW, WIDE, _selection_oracle
+from permgrowth.constructions import NARROW, WIDE, _selection_oracle, spike_member
 from permgrowth.sequences import (
     MAX_COUNTS,
     SumSequence,
@@ -238,6 +241,64 @@ def test_construction_levels_and_templates(construction, levels, template):
     assert str(construction.template()) == template
 
 
+def _path_ends(core):
+    # the values of degree 1 in the inversion graph of an oscillation of
+    # length >= 3, which is a path
+    degree = Counter(v for edge in inversion_graph(core).edges for v in edge)
+    return {v for v, d in degree.items() if d == 1}
+
+
+def _ends_to_rises(core, ends):
+    # the construction the narrow members were first built by: each chosen
+    # end v of the core becomes a rise v, v + 1/2, then the whole is
+    # standardized
+    return standardize([x for v in core for x in ((v, v + 0.5) if v in ends else (v,))])
+
+
+def _head_reference(n):
+    core = increasing_oscillation(n - 1)
+    first_end = next(v for v in core if v in _path_ends(core))
+    return _ends_to_rises(core, {first_end})
+
+
+def _tail_reference(n):
+    # of the two oscillations of length n - 1, the one whose maximum is an
+    # end of its path
+    core = next(
+        o
+        for o in (increasing_oscillation(n - 1), increasing_oscillation(n - 1, primary=False))
+        if n - 1 in _path_ends(o)
+    )
+    return _ends_to_rises(core, {n - 1})
+
+
+def test_narrow_members_match_the_end_rise_references():
+    references = (
+        increasing_oscillation,
+        lambda n: increasing_oscillation(n, primary=False),
+        _head_reference,
+        _tail_reference,
+    )
+    for (start, chain), reference in zip(NARROW.chains, references, strict=True):
+        for n in range(start, 26):
+            assert chain(n) == reference(n), (start, n)
+    for n in range(7, 26, 2):
+        core = increasing_oscillation(n - 2)
+        assert spike_member(n) == _ends_to_rises(core, _path_ends(core)), n
+        assert NARROW.level(n, spike=n) == NARROW.level(n) + [spike_member(n)]
+
+
+def test_narrow_chains_nest():
+    # a chain's members are sum indecomposable and each is a pattern of
+    # the next, so selecting a chain's member of length n keeps its
+    # shorter members in the class
+    for start, chain in NARROW.chains:
+        members = [chain(n) for n in range(start, 18)]
+        assert all(map(is_sum_indecomposable, members)), start
+        for short, long in zip(members, members[1:]):
+            assert contains(short, long), (start, len(short))
+
+
 def _in_sum_closure(p, selected):
     # p splits as a first sum component, SI and selected, plus a rest that
     # does the same
@@ -284,9 +345,7 @@ def test_realized_si_members_are_the_selection(text, kind, spike):
     construction = WIDE if kind == "wide" else NARROW
     members = census(r.spec, 9)
     for n in range(1, 10):
-        pool = construction.level(n)
-        if n == spike:
-            pool.append(split_end_member(n, "Uo"))
+        pool = construction.level(n, spike)
         assert members.si_members(n) == sorted(pool[: s.term(n)]), n
 
 
