@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -212,3 +214,82 @@ def test_cli_import_loads_neither_numpy_nor_sympy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n[0, 0, 0] False\n"
+
+
+# one call of each exit: a pass, a failed claim, a usage error that main
+# returns and one that argparse raises
+_EXITS = [
+    (["recon-verify", "--max-len", "5"], 0),
+    (["xi-basis"], 1),
+    (["census"], 2),
+    (["accumulation", "--eps", "1/3"], 2),
+]
+
+
+def _in_process(argv: list, capsys) -> tuple:
+    """(exit code, stdout) of main called here on ``argv``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,code", _EXITS)
+def test_main_never_freezes_the_heap(argv, code, capsys):
+    frozen = gc.get_freeze_count()
+    assert _in_process(argv, capsys)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+# runs the CLI as ``python -m permgrowth.cli`` does, with an atexit probe
+# that prints how many objects are frozen once the report is written
+_ENTRY_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "sys.argv = ['permgrowth'] + sys.argv[1:]\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('permgrowth.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("argv,code", _EXITS)
+def test_the_process_entry_exits_with_the_heap_frozen(argv, code, capsys):
+    out = _in_process(argv, capsys)[1]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permgrowth.__file__)))
+    run = subprocess.run([sys.executable, "-c", _ENTRY_PROBE] + argv, env=env, capture_output=True)
+    assert run.returncode == code
+    assert run.stdout == out.encode()
+    # atexit handlers still run, after the freeze
+    probe, count = run.stderr.decode().splitlines()[-1].split()
+    assert probe == "frozen" and int(count) > 0
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parent.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    # the call under the __main__ guard of cli.py
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(guard) == 1
+    (call,) = guard[0].body
+    assert scripts["permgrowth"] == "permgrowth.cli:%s" % call.value.func.id
+
+
+def test_no_module_waits_on_a_collection():
+    # the process entry freezes the heap before the exit, so the garbage
+    # collections of interpreter shutdown skip every object the call built:
+    # a __del__ or a weakref.finalize callback left to them might never run,
+    # and an atexit hook runs only after the freeze
+    for path in Path(permgrowth.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "__del__", path.name
+            elif isinstance(node, ast.Import):
+                assert "atexit" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                names = {"%s.%s" % (node.module, a.name) for a in node.names}
+                assert not names & {"weakref.finalize", "atexit.register"}, path.name
+            elif isinstance(node, ast.Attribute):
+                assert ast.unparse(node) not in ("weakref.finalize", "atexit.register"), path.name
